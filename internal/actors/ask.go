@@ -12,9 +12,11 @@ import (
 var ErrAskTimeout = errors.New("actors: ask timed out")
 
 // ErrActorStopped is returned by Ask when the target actor is already
-// stopped: the request deadletters immediately, so instead of waiting out
-// the full timeout the ask fails fast. (A supervised actor in a restart
-// backoff is *not* stopped — its mailbox keeps accepting messages.)
+// stopped, or the Ref is nil or belongs to another system: the request
+// deadletters immediately, so instead of waiting out the full timeout the
+// ask fails fast, and its reply slot closes with it. (A supervised actor in
+// a restart backoff is *not* stopped — its mailbox keeps accepting
+// messages.)
 var ErrActorStopped = errors.New("actors: target actor is stopped")
 
 // ErrPeerUnreachable is returned by Ask when the target is a proxy (remote)
@@ -41,60 +43,42 @@ var ErrOverloaded = errors.New("actors: target overloaded")
 var ErrShardMoving = errors.New("actors: target shard is moving")
 
 // Ask sends msg to ref and waits for one reply, bridging the asynchronous
-// actor world to synchronous callers (Scala's `!?` / ask pattern). It spawns
-// a temporary actor to receive the reply. If the target is already stopped
-// the call fails fast with ErrActorStopped rather than leaking the reply
-// actor until the timeout. A message lost to an injected fault is
+// actor world to synchronous callers (Scala's `!?` / ask pattern). The reply
+// lands in a reply slot, not an actor: a Ref named "ask-reply" with no
+// goroutine or mailbox that accepts one message while the ask waits. If the
+// target is already stopped the call fails fast with ErrActorStopped rather
+// than waiting out the timeout. A message lost to an injected fault is
 // indistinguishable from a slow reply and still times out — that is what
 // AskRetry is for.
 func Ask(sys *System, ref *Ref, msg any, timeout time.Duration) (any, error) {
 	return askCtx(context.Background(), sys, ref, msg, timeout)
 }
 
+// askErr maps a failed send to Ask's fail-fast error; a delivered or
+// fault-dropped request leaves the ask waiting (nil).
+var askErr = [...]error{
+	statusDead:        ErrActorStopped,
+	statusUnreachable: ErrPeerUnreachable,
+	statusOverloaded:  ErrOverloaded,
+	statusMoving:      ErrShardMoving,
+}
+
 // askCtx is Ask with a context: a cancelled ctx abandons the wait
-// immediately (the temporary reply actor is stopped) and returns ctx.Err().
+// immediately and returns ctx.Err(). However the wait ends, the slot closes,
+// so a second or late reply deadletters.
 func askCtx(ctx context.Context, sys *System, ref *Ref, msg any, timeout time.Duration) (any, error) {
-	replyCh := make(chan any, 1)
-	tmp, err := sys.Spawn("ask-reply", func(ctx *Context, m any) {
-		select {
-		case replyCh <- m:
-		default:
-		}
-		ctx.Stop()
-	})
-	if err != nil {
-		return nil, err
+	if sys.stopped.Load() {
+		return nil, ErrSystemStopped
 	}
 	if ref == nil || ref.sys != sys {
-		sys.Stop(tmp)
 		return nil, ErrActorStopped
 	}
-	switch sys.send(ref, Envelope{Msg: msg, Sender: tmp}) {
-	case statusDead:
-		sys.Stop(tmp)
-		return nil, ErrActorStopped
-	case statusUnreachable:
-		sys.Stop(tmp)
-		return nil, ErrPeerUnreachable
-	case statusOverloaded:
-		sys.Stop(tmp)
-		return nil, ErrOverloaded
-	case statusMoving:
-		sys.Stop(tmp)
-		return nil, ErrShardMoving
+	slot := sys.openSlot()
+	if err := askErr[sys.send(ref, Envelope{Msg: msg, Sender: &slot.ref})]; err != nil {
+		slot.close()
+		return nil, err
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-replyCh:
-		return r, nil
-	case <-ctx.Done():
-		sys.Stop(tmp)
-		return nil, ctx.Err()
-	case <-timer.C:
-		sys.Stop(tmp)
-		return nil, ErrAskTimeout
-	}
+	return slot.await(ctx, timeout)
 }
 
 // RetryConfig shapes AskRetry's persistence.
@@ -154,7 +138,7 @@ func AskRetry(sys *System, ref *Ref, msg any, rc RetryConfig) (any, error) {
 // as soon as the cancellation is observed.
 func AskRetryCtx(ctx context.Context, sys *System, ref *Ref, msg any, rc RetryConfig) (any, error) {
 	rc = rc.withDefaults()
-	rng := rand.New(rand.NewSource(rc.Seed + 0x5eed))
+	var rng *rand.Rand // seeded on the first jittered backoff
 	start := time.Now()
 	backoff := rc.Backoff
 	var lastErr error
@@ -165,6 +149,9 @@ func AskRetryCtx(ctx context.Context, sys *System, ref *Ref, msg any, rc RetryCo
 		if attempt > 1 {
 			d := backoff
 			if rc.Jitter > 0 {
+				if rng == nil {
+					rng = rand.New(rand.NewSource(rc.Seed + 0x5eed))
+				}
 				// Scale by a uniform factor in [1-Jitter, 1+Jitter].
 				f := 1 + rc.Jitter*(2*rng.Float64()-1)
 				d = time.Duration(float64(d) * f)

@@ -3,11 +3,14 @@ package actors
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/trace"
 )
 
 func TestAskStoppedActorFailsFast(t *testing.T) {
@@ -215,5 +218,178 @@ func TestAskRetryFailsFastOnStoppedActor(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("AskRetry should not retry a stopped actor")
+	}
+}
+
+// TestAskReplySlot pins the reply slot under both dispatchers: while the ask
+// waits, the asker is a Ref named ask-reply that ByID resolves (how a remote
+// reply finds it) but that is not an actor; it takes the first reply only,
+// and a second one deadletters as if sent to a stopped actor.
+func TestAskReplySlot(t *testing.T) {
+	for _, mode := range []DispatchMode{Dedicated, Pooled} {
+		sys := NewSystem(Config{Dispatcher: mode})
+		var slot *Ref
+		twice := sys.MustSpawn("twice", func(ctx *Context, msg any) {
+			slot = ctx.Sender()
+			if slot.Name() != "ask-reply" || sys.ByID(slot.ID()) != slot || sys.Alive(slot) {
+				t.Errorf("dispatch %v: waiting asker %v: ByID = %v, Alive = %v",
+					mode, slot, sys.ByID(slot.ID()), sys.Alive(slot))
+			}
+			ctx.Reply("first")
+			ctx.Reply("second")
+		})
+		got, err := Ask(sys, twice, "go", time.Second)
+		if err != nil || got != "first" {
+			t.Fatalf("dispatch %v: Ask = %v, %v; want the first reply", mode, got, err)
+		}
+		sys.Shutdown()
+		if n := sys.DeadLettersOf(DLDead); n != 1 {
+			t.Fatalf("dispatch %v: DLDead = %d, want 1 (the second reply)", mode, n)
+		}
+		if sys.ByID(slot.ID()) != nil {
+			t.Fatalf("dispatch %v: ByID still resolves the slot after the ask returned", mode)
+		}
+	}
+}
+
+// TestAskLateReplyDeadletters: a reply that arrives after the ask timed out
+// finds the slot closed and deadletters; no actor is left behind.
+func TestAskLateReplyDeadletters(t *testing.T) {
+	sys := NewSystem(Config{})
+	defer sys.Shutdown()
+	held := make(chan *Ref, 1)
+	sink := sys.MustSpawn("sink", func(ctx *Context, msg any) { held <- ctx.Sender() })
+	if _, err := Ask(sys, sink, "hold", 10*time.Millisecond); !errors.Is(err, ErrAskTimeout) {
+		t.Fatalf("Ask error = %v, want ErrAskTimeout", err)
+	}
+	slot := <-held
+	if sys.ByID(slot.ID()) != nil {
+		t.Fatal("ByID resolves the slot of an ask that timed out")
+	}
+	slot.Tell("late")
+	if n := sys.DeadLettersOf(DLDead); n != 1 {
+		t.Fatalf("DLDead = %d, want 1 (the late reply)", n)
+	}
+	sys.mu.Lock()
+	n := len(sys.actors)
+	sys.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d actors alive, want only the sink", n)
+	}
+}
+
+// TestAskReplyRecordedAndTraced: the reply keeps its send/receive pair in the
+// Recorder (the receive on the ask-reply task), and a traced reply's span is
+// sealed at the slot — finished, not dead, its ledger telescoping exactly.
+func TestAskReplyRecordedAndTraced(t *testing.T) {
+	rec := trace.NewRecorder()
+	tr := trace.NewTracer(1, 0)
+	sys := NewSystem(Config{Recorder: rec, Tracer: tr})
+	defer sys.Shutdown()
+	echo := sys.MustSpawn("echo", func(ctx *Context, msg any) { ctx.Reply(msg) })
+	if _, err := Ask(sys, echo, 7, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var sends, receives int
+	for _, ev := range rec.Events() {
+		if !strings.HasPrefix(ev.Object, "actor(ask-reply#") {
+			continue
+		}
+		switch ev.Kind {
+		case trace.KindSend:
+			sends++
+		case trace.KindReceive:
+			receives++
+			if !strings.HasPrefix(ev.Task, "actor(ask-reply#") {
+				t.Fatalf("reply received by %q, want the ask-reply task", ev.Task)
+			}
+		}
+	}
+	if sends != 1 || receives != 1 {
+		t.Fatalf("reply events: %d sends, %d receives; want 1 each", sends, receives)
+	}
+	for _, v := range waitSpans(t, tr, 2) {
+		if v.Actor != "ask-reply" {
+			continue
+		}
+		if v.End == 0 || v.Dead != "" || v.StageSum() != int64(v.Duration()) {
+			t.Fatalf("reply span not sealed cleanly: %+v", v)
+		}
+		return
+	}
+	t.Fatal("no reply span")
+}
+
+// TestAskAllocs pins the allocation cost of an ask. The bound is the count
+// measured when the reply slot replaced the per-ask reply actor: 2 (the
+// slot and its done channel; the timeout timer is recycled). A successful
+// AskRetry with jitter costs the same: its RNG is seeded only on a retry.
+func TestAskAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	sys := NewSystem(Config{})
+	defer sys.Shutdown()
+	echo := sys.MustSpawn("echo", func(ctx *Context, msg any) { ctx.Reply(msg) })
+	const bound = 2
+	if n := testing.AllocsPerRun(500, func() {
+		if _, err := Ask(sys, echo, 1, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}); n > bound {
+		t.Errorf("Ask: %v allocs per call, want <= %d", n, bound)
+	}
+	rc := RetryConfig{Attempts: 3, Timeout: time.Second, Jitter: 0.2, Seed: 9}
+	if n := testing.AllocsPerRun(500, func() {
+		if _, err := AskRetry(sys, echo, 1, rc); err != nil {
+			t.Fatal(err)
+		}
+	}); n > bound {
+		t.Errorf("AskRetry: %v allocs per call, want <= %d", n, bound)
+	}
+}
+
+// TestAskReplySlotsConcurrent races many asks, some with timeouts short
+// enough to lose to their replies, against a target that answers every
+// request twice. No ask may see another's reply, every reply a slot did not
+// accept deadletters, and no slot outlives its ask.
+func TestAskReplySlotsConcurrent(t *testing.T) {
+	sys := NewSystem(Config{})
+	twice := sys.MustSpawn("twice", func(ctx *Context, msg any) {
+		ctx.Reply(msg)
+		ctx.Reply(msg)
+	})
+	const askers, perAsker = 8, 200
+	var answered atomic.Int64
+	var wg sync.WaitGroup
+	for a := 0; a < askers; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < perAsker; i++ {
+				timeout := time.Second
+				if i%2 == 1 {
+					timeout = time.Microsecond
+				}
+				want := a*perAsker + i
+				got, err := Ask(sys, twice, want, timeout)
+				switch {
+				case err == nil && got == want:
+					answered.Add(1)
+				case err == nil:
+					t.Errorf("ask %d got reply %v", want, got)
+				case !errors.Is(err, ErrAskTimeout):
+					t.Errorf("ask %d: %v", want, err)
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+	sys.Shutdown() // drains the target: every request has been answered twice
+	if dead, want := sys.DeadLettersOf(DLDead), 2*askers*perAsker-answered.Load(); dead != want {
+		t.Fatalf("DLDead = %d, want %d (every reply no slot accepted)", dead, want)
+	}
+	if n := len(sys.slots.m); n != 0 {
+		t.Fatalf("%d reply slots left open", n)
 	}
 }

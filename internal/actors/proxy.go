@@ -57,23 +57,22 @@ func (s *System) NewProxyRef(name string, deliver func(Envelope) bool) *Ref {
 // from a dead peer (ProxyUnreachable → DLRemote, ErrPeerUnreachable). The
 // same non-blocking contract applies.
 func (s *System) NewProxyRefStatus(name string, deliver func(Envelope) ProxyStatus) *Ref {
-	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
-	s.mu.Unlock()
-	return &Ref{id: id, name: name, sys: s, proxy: deliver}
+	return &Ref{id: s.nextID.Add(1), name: name, sys: s, proxy: deliver}
 }
 
 // IsProxy reports whether the Ref forwards through a proxy function rather
 // than a local mailbox.
 func (r *Ref) IsProxy() bool { return r != nil && r.proxy != nil }
 
-// ByID returns the live local actor with the given ID, or nil if it has
-// stopped or never existed. Remote transports use it to route a reply
-// addressed by raw ID back to the asking actor; a nil return means the asker
-// is gone (for example an Ask that already timed out) and the reply should
-// deadletter.
+// ByID returns the live local actor, or the reply slot of a still-waiting
+// Ask, with the given ID, or nil if it has stopped, its ask is over, or it
+// never existed. Remote transports use it to route a reply addressed by raw
+// ID back to the asker; a nil return means the asker is gone (for example an
+// Ask that already timed out) and the reply should deadletter.
 func (s *System) ByID(id uint64) *Ref {
+	if r := s.slots.get(id); r != nil {
+		return r
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c, ok := s.actors[id]; ok {

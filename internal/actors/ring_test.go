@@ -262,6 +262,10 @@ func testSystemStressFIFO(t *testing.T, cfg Config) {
 	case <-time.After(30 * time.Second):
 		t.Fatalf("sink stalled: processed %d of %d", got, senders*perSender)
 	}
+	// The behavior closes done inside its last call, and the system counts
+	// that call only after it returns. Shutdown waits for every actor to
+	// finish, so the count read after it is final.
+	sys.Shutdown()
 	if p := sys.Processed(); p != int64(senders*perSender) {
 		t.Fatalf("Processed() = %d, want %d", p, senders*perSender)
 	}

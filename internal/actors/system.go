@@ -32,6 +32,11 @@ type Ref struct {
 	// the envelope (DLRemote for unreachable, DLOverloaded for a refused
 	// admission). See System.NewProxyRef and internal/remote.
 	proxy func(Envelope) ProxyStatus
+
+	// slot, when non-nil, makes this Ref an ask's reply slot rather than an
+	// actor: the one message it accepts lands there (see askCtx and
+	// System.fillSlot).
+	slot *replySlot
 }
 
 // Name returns the actor's registered name.
@@ -191,10 +196,13 @@ type System struct {
 	cfg        Config
 	throughput int
 	mu         sync.Mutex
-	nextID     uint64
+	nextID     atomic.Uint64
 	actors     map[uint64]*cell
-	stopped    bool
+	stopped    atomic.Bool
 	wg         sync.WaitGroup
+
+	// slots holds the reply slots of asks still waiting (see slotTable).
+	slots slotTable
 
 	// Pooled dispatch state (nil/zero under Dedicated dispatch).
 	runq     *runQueue
@@ -325,12 +333,11 @@ func (s *System) Spawn(name string, b Behavior) (*Ref, error) {
 // spawn creates the cell; sup/factory are non-nil for supervised actors.
 func (s *System) spawn(name string, b Behavior, sup *Supervisor, factory func() Behavior) (*Ref, error) {
 	s.mu.Lock()
-	if s.stopped {
+	if s.stopped.Load() {
 		s.mu.Unlock()
 		return nil, ErrSystemStopped
 	}
-	s.nextID++
-	id := s.nextID
+	id := s.nextID.Add(1)
 	ref := &Ref{id: id, name: name, sys: s}
 	var perturb *rand.Rand
 	if s.cfg.PerturbSeed != 0 {
@@ -701,6 +708,9 @@ func (s *System) sendMode(to *Ref, e Envelope, mode putMode) deliverStatus {
 		e.traceID = fmt.Sprintf("%s#%d", to.String(), s.traceSeq.Add(1))
 		s.cfg.Recorder.RecordSend(senderName(e.Sender), e.traceID, fmt.Sprintf("%T", e.Msg))
 	}
+	if to.slot != nil {
+		return s.fillSlot(to, e, ctrl)
+	}
 	s.mu.Lock()
 	c, ok := s.actors[to.id]
 	s.mu.Unlock()
@@ -867,8 +877,12 @@ func (s *System) Alive(ref *Ref) bool {
 	return ok
 }
 
-// MailboxSize returns the number of messages queued for ref (0 if stopped).
+// MailboxSize returns the number of messages queued for ref (0 if stopped,
+// and always 0 for an ask's reply slot, which has no mailbox).
 func (s *System) MailboxSize(ref *Ref) int {
+	if ref.slot != nil {
+		return 0
+	}
 	s.mu.Lock()
 	c, ok := s.actors[ref.id]
 	s.mu.Unlock()
@@ -905,13 +919,13 @@ func (s *System) Restarts() int64 { return s.restarts.Load() }
 // dispatch is active. The system accepts no further Spawns.
 func (s *System) Shutdown() {
 	s.mu.Lock()
-	if s.stopped {
+	if s.stopped.Load() {
 		s.mu.Unlock()
 		s.wg.Wait()
 		s.stopPool()
 		return
 	}
-	s.stopped = true
+	s.stopped.Store(true)
 	// Mark the quiesce point in the trace before any actor is stopped:
 	// deadletters after this marker are teardown noise (late sends into a
 	// system that is deliberately winding down), which the orphaned-protocol

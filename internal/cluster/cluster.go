@@ -17,7 +17,8 @@
 // idempotent and callers needing an answer must use AskRetry — the same
 // contract remote asks already carry. What the cluster adds is single-writer
 // placement: at any moment at most one live activation of a grain exists
-// (quorum + suspect-grace fencing, asserted by the rebalance tests), so a
+// (quorum + suspect-grace fencing at a partition, acknowledged incarnations
+// at readmission; asserted by the rebalance tests), so a
 // grain serializes its own state like any actor while the system survives
 // node death by reactivating elsewhere.
 package cluster
@@ -422,8 +423,7 @@ func (c *Cluster) activate(name string, shard int) (*grain, actors.ProxyStatus) 
 	if g, ok := c.grains[name]; ok && !g.deposed.Load() {
 		return g, actors.ProxyDelivered
 	}
-	owner, _, ok := c.mem.ownerOf(shard)
-	if !ok || owner != c.addr || !c.mem.quorate() {
+	if !c.mayHost(shard) || !c.mem.acknowledged() {
 		return nil, actors.ProxyMoving
 	}
 	// Fencing grace: a shard this node only just gained (per the sweep's
@@ -439,9 +439,12 @@ func (c *Cluster) activate(name string, shard int) (*grain, actors.ProxyStatus) 
 	g := &grain{shard: shard, epoch: c.mem.epochNow()}
 	g.last.Store(time.Now().UnixNano())
 	wrapped := func(ctx *actors.Context, msg any) {
-		if g.deposed.Load() {
+		if g.deposed.Load() || !c.mayHost(shard) {
 			// Fencing: this instance lost its shard; whatever is still in
 			// its mailbox must not execute concurrently with the successor.
+			// The view is checked too, not only the deposed flag: between
+			// a view change and the sweep that deposes, the old instance
+			// already refuses to run.
 			c.fencedDrops.Add(1)
 			return
 		}
@@ -457,6 +460,26 @@ func (c *Cluster) activate(name string, shard int) (*grain, actors.ProxyStatus) 
 	return g, actors.ProxyDelivered
 }
 
+// mayHost reports whether this node may run grains of shard now: it is
+// quorate and its current view assigns it the shard.
+func (c *Cluster) mayHost(shard int) bool {
+	owner, _, ok := c.mem.ownerOf(shard)
+	return ok && owner == c.addr && c.mem.quorate()
+}
+
+// deposeAll fences every local activation and restarts the activation
+// grace of every shard. It runs when this node learns it was declared dead:
+// the peers that did so have moved its shards and may host their grains.
+func (c *Cluster) deposeAll() {
+	c.gmu.Lock()
+	defer c.gmu.Unlock()
+	for name, g := range c.grains {
+		c.deposeLocked(name, g)
+		c.handoffsOut.Add(1)
+	}
+	c.shardSince = map[int]time.Time{}
+}
+
 // deposeIfActive fences a local activation the ring has moved elsewhere.
 // Cheap when there is nothing to do (shared-lock map probe), which is every
 // forward on a pure relay node.
@@ -469,12 +492,18 @@ func (c *Cluster) deposeIfActive(name string) {
 	}
 	c.gmu.Lock()
 	if g, ok := c.grains[name]; ok {
-		g.deposed.Store(true)
-		c.sys.Stop(g.ref)
-		delete(c.grains, name)
+		c.deposeLocked(name, g)
 		c.handoffsOut.Add(1)
 	}
 	c.gmu.Unlock()
+}
+
+// deposeLocked fences and stops one activation and forgets it. Callers hold
+// gmu and count the deposal as a handoff or a passivation.
+func (c *Cluster) deposeLocked(name string, g *grain) {
+	g.deposed.Store(true)
+	c.sys.Stop(g.ref)
+	delete(c.grains, name)
 }
 
 // park buffers one message whose shard is mid-handoff. Bounded per shard;
@@ -504,6 +533,9 @@ func (c *Cluster) park(shard int, ge GrainEnvelope, sender *actors.Ref, sp *trac
 // latency is bounded by detection, not by the janitor cadence.
 func (c *Cluster) onMembershipChange(changes []memberChange, epoch uint64) {
 	for _, ch := range changes {
+		if ch.Addr == c.addr && ch.prev == StateDead {
+			c.deposeAll()
+		}
 		// A member we first heard of through gossip (not the seed list) gets
 		// its dial-out link now: the link is both the forwarding path and the
 		// failure detector, and a member nobody dials is a member nobody can
@@ -575,6 +607,7 @@ func (c *Cluster) sweep(now time.Time) {
 		return
 	}
 	hosting := c.mem.quorate()
+	acked := c.mem.acknowledged()
 	// Maintain the activation-grace ledger. Losing quorum wipes it: a node
 	// readmitted after a partition must re-earn the grace even for shards it
 	// held before, because the majority may have hosted them meanwhile.
@@ -603,9 +636,7 @@ func (c *Cluster) sweep(now time.Time) {
 		if !lost && !idle {
 			continue
 		}
-		g.deposed.Store(true)
-		c.sys.Stop(g.ref)
-		delete(c.grains, name)
+		c.deposeLocked(name, g)
 		if lost {
 			c.handoffsOut.Add(1)
 		} else {
@@ -621,10 +652,10 @@ func (c *Cluster) sweep(now time.Time) {
 		ready := ok && state == StateAlive && owner != c.addr
 		if ok && owner == c.addr && hosting {
 			// Self-owned: hold the flush until the activation grace has
-			// passed, or the redelivery would just bounce back into the
-			// parking buffer.
+			// passed and every peer acknowledged our incarnation, or the
+			// redelivery would just bounce back into the parking buffer.
 			since, have := c.shardSince[shard]
-			ready = have && now.Sub(since) >= c.cfg.ActivationGrace
+			ready = have && acked && now.Sub(since) >= c.cfg.ActivationGrace
 		}
 		if !ready {
 			continue

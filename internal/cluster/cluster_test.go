@@ -92,13 +92,14 @@ func counterFactory(l *ledger) GrainFactory {
 }
 
 // startCluster builds a fixture with the given addresses, all seeded with
-// each other. factory(addr) supplies each node's grain factory.
-func startCluster(t *testing.T, addrs []string, factory func(addr string) GrainFactory) *testFixture {
+// each other. factory(addr) supplies each node's grain factory; each opt, if
+// any, adjusts every node's config.
+func startCluster(t *testing.T, addrs []string, factory func(addr string) GrainFactory, opts ...func(*Config)) *testFixture {
 	t.Helper()
 	net := remote.NewMemNetwork()
 	f := &testFixture{net: net, nodes: map[string]*Cluster{}}
 	for i, addr := range addrs {
-		c, err := New(Config{
+		cfg := Config{
 			ListenAddr:        addr,
 			Transport:         net.Endpoint(addr),
 			Seeds:             addrs,
@@ -107,7 +108,11 @@ func startCluster(t *testing.T, addrs []string, factory func(addr string) GrainF
 			HeartbeatInterval: 2 * time.Millisecond,
 			SuspectAfter:      60 * time.Millisecond,
 			Seed:              int64(i + 1),
-		})
+		}
+		for _, opt := range opts {
+			opt(&cfg)
+		}
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatalf("cluster %s: %v", addr, err)
 		}

@@ -27,8 +27,8 @@ import (
 // a dead node that restarts sees dead@i and rejoins as alive@i+1.
 //
 // Split-brain fencing is quorum-based: a node hosts activations only while
-// it can see (links up, state alive) a strict majority of all members it has
-// ever known. The minority side of a partition loses its links within one
+// it can see (links not down, state alive) a strict majority of all members
+// it has ever known. The minority side of a partition loses its links within one
 // heartbeat timeout and stops hosting immediately, while the majority side
 // waits out SuspectAfter before taking ownership — so the fencing margin
 // between the old owner deactivating and the new owner activating is
@@ -95,6 +95,15 @@ type membership struct {
 	inc     uint64 // own incarnation
 	members map[string]*memberRec
 	epoch   uint64
+	// down holds the peers whose dial-out link last reported down. A member
+	// can be alive in the table while its link is down: gossip relayed by
+	// a third node readmits it while our redial still backs off. Quorum
+	// counts only members we can reach (see quorate).
+	down map[string]bool
+	// acked holds, per peer, the incarnation of this node that the peer's
+	// latest digest claimed alive (0 when the digest claimed anything else
+	// or omitted us). See acknowledged.
+	acked map[string]uint64
 
 	// ring memoizes shard ownership for the current epoch: owners are
 	// alive+suspect members (suspects keep their shards; see package doc).
@@ -110,6 +119,8 @@ func newMembership(shards int, suspectAfter time.Duration, onChange func([]membe
 		shards:       shards,
 		onChange:     onChange,
 		members:      map[string]*memberRec{},
+		down:         map[string]bool{},
+		acked:        map[string]uint64{},
 	}
 }
 
@@ -177,14 +188,49 @@ func (m *membership) countsLocked() (alive, suspect, dead, total int) {
 
 // quorate reports whether this node may host activations: it must believe a
 // strict majority of all known (non-left) members — itself included — is
-// alive. Suspects do not count toward the majority: that is what makes the
-// minority side of a partition fence itself within one heartbeat timeout,
-// before the majority side's SuspectAfter expires and ownership moves.
+// alive and reachable. Suspects do not count toward the majority: that is
+// what makes the minority side of a partition fence itself within one
+// heartbeat timeout, before the majority side's SuspectAfter expires and
+// ownership moves. Nor do alive members behind a down link. A link that is
+// already down when a partition starts reports no new transition, so the
+// partition raises no suspicion of that member; counting it would leave the
+// minority side quorate, and hosting, for as long as the partition lasts.
 func (m *membership) quorate() bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	alive, _, _, total := m.countsLocked()
-	return alive*2 > total
+	reachable, total := 0, 0
+	for addr, r := range m.members {
+		if r.State == StateLeft {
+			continue
+		}
+		total++
+		if r.State == StateAlive && !m.down[addr] {
+			reachable++
+		}
+	}
+	return reachable*2 > total
+}
+
+// acknowledged reports whether every peer that is alive or suspect in our
+// table has acknowledged our current incarnation: its latest digest claims
+// us alive at it. A node that refuted its death hosts nothing new until
+// then, because a peer still holding the stale claim may own our shards and
+// host their grains. The peer's digest is built from its table, and once
+// its table has us alive again its routing sends our shards' messages here
+// and its old activations refuse them (see Cluster.mayHost). At incarnation
+// 0 nobody has claimed anything against us, so the check passes at once.
+func (m *membership) acknowledged() bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for addr, r := range m.members {
+		if addr == m.self || (r.State != StateAlive && r.State != StateSuspect) {
+			continue
+		}
+		if m.acked[addr] < m.inc {
+			return false
+		}
+	}
+	return true
 }
 
 // ownerOf resolves a shard to its owning member under the current view.
@@ -281,13 +327,39 @@ func (m *membership) GossipDigest(peer string) []byte {
 	return out
 }
 
-// OnGossip merges one received digest (remote.GossipHook).
+// OnGossip merges one received digest (remote.GossipHook) and records what
+// it says about us as from's acknowledgment (see acknowledged).
 func (m *membership) OnGossip(from string, digest []byte) {
 	claims, ok := decodeDigest(digest)
 	if !ok {
 		return
 	}
 	m.merge(claims, time.Now())
+	m.noteAck(from, claims)
+}
+
+// noteAck records from's view of this node. When it completes the
+// acknowledgment of our incarnation, onChange fires with no changes so the
+// cluster flushes what it parked meanwhile without waiting for a sweep tick.
+func (m *membership) noteAck(from string, claims []Member) {
+	m.mu.Lock()
+	if m.self == "" || from == m.self {
+		m.mu.Unlock()
+		return
+	}
+	var inc uint64
+	for _, c := range claims {
+		if c.Addr == m.self && c.State == StateAlive {
+			inc = c.Inc
+		}
+	}
+	completed := m.acked[from] < m.inc && inc >= m.inc
+	m.acked[from] = inc
+	epoch := m.epoch
+	m.mu.Unlock()
+	if completed && m.onChange != nil {
+		m.onChange(nil, epoch)
+	}
 }
 
 func decodeDigest(b []byte) ([]Member, bool) {
@@ -342,13 +414,14 @@ func (m *membership) merge(claims []Member, now time.Time) {
 			// claim's incarnation is current, only we may clear it — by
 			// re-asserting alive one incarnation higher, which the next
 			// gossip round disseminates.
+			// The change reports the refuted claim's state as prev: a node
+			// that learns it was declared dead must depose its activations.
 			if c.State != StateAlive && c.Inc >= m.inc {
 				m.inc = c.Inc + 1
 				rec := m.members[m.self]
-				prev := rec.State
 				rec.Inc, rec.State, rec.since = m.inc, StateAlive, now
 				m.epoch++
-				changes = append(changes, memberChange{Member: rec.Member, prev: prev})
+				changes = append(changes, memberChange{Member: rec.Member, prev: c.State})
 			}
 			continue
 		}
@@ -385,8 +458,17 @@ func (m *membership) merge(claims []Member, now time.Time) {
 func (m *membership) onLinkState(peer string, up bool) {
 	var changes []memberChange
 	m.mu.Lock()
+	if peer == m.self {
+		m.mu.Unlock()
+		return
+	}
+	if up {
+		delete(m.down, peer)
+	} else {
+		m.down[peer] = true
+	}
 	rec, known := m.members[peer]
-	if !known || peer == m.self {
+	if !known {
 		m.mu.Unlock()
 		return
 	}

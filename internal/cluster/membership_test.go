@@ -150,6 +150,74 @@ func TestSuspectPromotionAndQuorum(t *testing.T) {
 	}
 }
 
+// TestQuorumCountsOnlyReachableMembers pins the partition case a
+// table-only count missed: a member readmitted by relayed gossip while our
+// own link to it is still down sits in the table as alive, and a later
+// partition raises no new suspicion of it. It must not count toward quorum.
+func TestQuorumCountsOnlyReachableMembers(t *testing.T) {
+	m := newMembership(16, 50*time.Millisecond, nil)
+	now := time.Now()
+	m.start("A", []string{"B", "C"}, now)
+	m.onLinkState("B", false)
+	m.merge([]Member{{Addr: "B", Inc: 0, State: StateDead}}, now)
+	// B refutes through C's relay; our redial to B still backs off.
+	m.merge([]Member{{Addr: "B", Inc: 1, State: StateAlive}}, now)
+	if ms, _ := m.snapshot(); stateOf(ms, "B") != StateAlive {
+		t.Fatal("relayed refutation did not readmit B")
+	}
+	if !m.quorate() {
+		t.Fatal("A and C reachable of 3 should be quorate")
+	}
+	m.onLinkState("C", false)
+	if m.quorate() {
+		t.Fatal("only A reachable of 3 (B alive behind a down link) must not be quorate")
+	}
+	m.onLinkState("B", true)
+	if !m.quorate() {
+		t.Fatal("A and B reachable of 3 should be quorate again")
+	}
+}
+
+// TestAcknowledgedAfterRefutation pins the readmission fence: after a
+// refutation, every alive or suspect peer must claim us alive at the new
+// incarnation before we host anything new. A dead peer is not waited for.
+func TestAcknowledgedAfterRefutation(t *testing.T) {
+	var changes []memberChange
+	m := newMembership(16, time.Hour, collectChanges(&changes))
+	now := time.Now()
+	m.start("A", []string{"B", "C", "D"}, now)
+	if !m.acknowledged() {
+		t.Fatal("incarnation 0 needs no acknowledgment")
+	}
+	m.merge([]Member{{Addr: "A", Inc: 0, State: StateDead}}, now)
+	if len(changes) != 1 || changes[0].Addr != "A" || changes[0].prev != StateDead {
+		t.Fatalf("refutation change = %+v, want A with prev dead", changes)
+	}
+	m.merge([]Member{{Addr: "D", Inc: 0, State: StateDead}}, now)
+	m.onLinkState("C", false) // C suspect: still owns shards, still must ack
+	if m.acknowledged() {
+		t.Fatal("acknowledged before any peer saw incarnation 1")
+	}
+	self := func(inc uint64, st State) []Member { return []Member{{Addr: "A", Inc: inc, State: st}} }
+	m.noteAck("B", self(1, StateAlive))
+	m.noteAck("C", self(0, StateAlive)) // stale: C has not seen the refutation
+	if m.acknowledged() {
+		t.Fatal("a peer at the old incarnation counted as acknowledging")
+	}
+	changes = nil
+	m.noteAck("C", self(1, StateAlive))
+	if !m.acknowledged() {
+		t.Fatal("B and C acknowledged incarnation 1; dead D must not be waited for")
+	}
+	if len(changes) != 0 {
+		t.Fatalf("completing ack reported member changes %+v", changes)
+	}
+	m.noteAck("B", self(1, StateSuspect))
+	if m.acknowledged() {
+		t.Fatal("a peer that now suspects us still counted as acknowledging")
+	}
+}
+
 func TestRingMinimalMovement(t *testing.T) {
 	const shards = 128
 	all := []string{"n1", "n2", "n3"}

@@ -40,6 +40,8 @@ type fencingLedger struct {
 	last    map[string]int64 // grain → current writer instance
 	retired map[string]map[int64]bool
 	viol    []string
+	// violN counts repeats of each violation, reported once with its count.
+	violN map[string]int
 }
 
 func newFencingLedger() *fencingLedger {
@@ -47,6 +49,7 @@ func newFencingLedger() *fencingLedger {
 		seen:    map[[2]int]int{},
 		last:    map[string]int64{},
 		retired: map[string]map[int64]bool{},
+		violN:   map[string]int{},
 	}
 }
 
@@ -63,8 +66,11 @@ func (l *fencingLedger) write(grain string, inst int64, client, seq int) {
 		return
 	}
 	if l.retired[grain][inst] {
-		l.viol = append(l.viol, fmt.Sprintf(
-			"grain %s: retired instance %d wrote after instance %d took over", grain, inst, prev))
+		v := fmt.Sprintf("grain %s: retired instance %d wrote after instance %d took over", grain, inst, prev)
+		if l.violN[v] == 0 {
+			l.viol = append(l.viol, v)
+		}
+		l.violN[v]++
 		return
 	}
 	if l.retired[grain] == nil {
@@ -93,7 +99,11 @@ func (l *fencingLedger) deliveries() int {
 func (l *fencingLedger) violations() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]string(nil), l.viol...)
+	out := make([]string, len(l.viol))
+	for i, v := range l.viol {
+		out[i] = fmt.Sprintf("%s (%d writes)", v, l.violN[v])
+	}
+	return out
 }
 
 // fencedCounterFactory builds counter grains wired to the fencing ledger.
@@ -337,7 +347,20 @@ func TestPartitionSawtoothFencing(t *testing.T) {
 		time.Sleep(90 * time.Millisecond)
 	}
 	part.HealAll()
-	waitUntil(t, 10*time.Second, "post-sawtooth convergence", f.converged)
+	// Snapshot the survivors' view of the flappy node the moment the
+	// cluster converges. Read later, after the load drains, a heartbeat
+	// timeout on a starved machine can show a fresh, unrelated suspicion.
+	views := map[string]Member{}
+	waitUntil(t, 10*time.Second, "post-sawtooth convergence", func() bool {
+		if !f.converged() {
+			return false
+		}
+		for _, a := range addrs[:2] {
+			ms, _ := f.nodes[a].Members()
+			views[a] = memberOf(ms, flappy)
+		}
+		return true
+	})
 	close(stop)
 	wg.Wait()
 	close(errs)
@@ -365,10 +388,51 @@ func TestPartitionSawtoothFencing(t *testing.T) {
 	// refute under a higher incarnation to get back in. Every survivor
 	// agrees on the raised incarnation.
 	for _, a := range addrs[:2] {
-		ms, _ := f.nodes[a].Members()
-		m := memberOf(ms, flappy)
+		m := views[a]
 		if m.State != StateAlive || m.Inc == 0 {
 			t.Fatalf("%s sees flappy node as %s inc=%d, want alive at raised incarnation", a, m.State, m.Inc)
 		}
+	}
+}
+
+// TestRefutedDeathDeposesActivations checks the refuting side of the
+// readmission fence: a node that learns it was declared dead deposes every
+// activation at once, since the peers that declared it may already host its
+// grains, and hosts again once they acknowledge its new incarnation.
+func TestRefutedDeathDeposesActivations(t *testing.T) {
+	addrs := []string{"n1", "n2", "n3"}
+	f := startCluster(t, addrs, echoFactory)
+	waitUntil(t, 5*time.Second, "membership convergence", f.converged)
+	c1 := f.nodes["n1"]
+	name := ""
+	for i := 0; name == ""; i++ {
+		if owner, ok := c1.OwnerOf(fmt.Sprintf("dead-%d", i)); ok && owner == "n1" {
+			name = fmt.Sprintf("dead-%d", i)
+		}
+	}
+	whereIs := func() string {
+		rep, err := actors.AskRetry(c1.System(), c1.RefFor(name), WhoAmI{}, killRetry)
+		if err != nil {
+			t.Fatalf("WhoAmI %s: %v", name, err)
+		}
+		return rep.(HostedAt).Node
+	}
+	if at := whereIs(); at != "n1" {
+		t.Fatalf("%s hosted at %s, want n1", name, at)
+	}
+	out := c1.CounterSnapshot().HandoffsOut
+
+	c1.mem.merge([]Member{{Addr: "n1", Inc: 0, State: StateDead}}, time.Now())
+	if got := c1.ActiveGrains(); len(got) != 0 {
+		t.Fatalf("activations survived the refuted death: %v", got)
+	}
+	if got := c1.CounterSnapshot().HandoffsOut; got != out+1 {
+		t.Fatalf("handoffs out = %d, want %d", got, out+1)
+	}
+	if at := whereIs(); at != "n1" {
+		t.Fatalf("%s rehosted at %s, want n1", name, at)
+	}
+	if !c1.mem.acknowledged() {
+		t.Fatal("rehosted before the peers acknowledged incarnation 1")
 	}
 }

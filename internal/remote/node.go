@@ -304,7 +304,7 @@ func (n *Node) RefFor(target string) (*actors.Ref, error) {
 		return nil, ErrClosed
 	}
 	n.linkTo(addr)
-	return n.proxyRef("name:"+target, target, addr, name, 0), nil
+	return n.proxyRef("name:"+target, target, addr, name), nil
 }
 
 // RefByID returns a proxy Ref addressing the actor with the given system ID
@@ -313,13 +313,14 @@ func (n *Node) RefFor(target string) (*actors.Ref, error) {
 // forwarded on: the origin's address and actor ID travel inside the routed
 // payload, and the final host materializes the sender proxy from them so
 // replies cross the wire directly back to the origin node instead of
-// retracing the forwarding chain. The proxy is cached like every other.
+// retracing the forwarding chain. Like every ID-addressed proxy it is built
+// per call, not cached: the IDs are mostly one-shot ask reply slots.
 func (n *Node) RefByID(addr string, id uint64, display string) *actors.Ref {
 	if addr == "" || id == 0 {
 		return nil
 	}
 	n.linkTo(addr)
-	return n.proxyRef(fmt.Sprintf("id:%s#%d", addr, id), display, addr, "", id)
+	return n.idProxy(display, addr, id)
 }
 
 // Forward hands e to the named actor on the node at addr and reports the
@@ -378,10 +379,14 @@ type Stats struct {
 	InboundShed       int64 // inbound messages shed at a full bounded mailbox
 	GossipFramesSent  int64 // membership digests piggybacked on heartbeat ticks
 	GossipFramesRecv  int64 // membership digests received and handed to the hook
+	ProxyRefs         int64 // proxy Refs cached for named targets and their tombstones
 }
 
 // Stats returns the node's current wire counters.
 func (n *Node) Stats() Stats {
+	n.mu.Lock()
+	proxies := int64(len(n.proxies))
+	n.mu.Unlock()
 	return Stats{
 		Sent:              n.sent.Load(),
 		Received:          n.received.Load(),
@@ -404,6 +409,7 @@ func (n *Node) Stats() Stats {
 		InboundShed:       n.inboundShed.Load(),
 		GossipFramesSent:  n.gossipSent.Load(),
 		GossipFramesRecv:  n.gossipRecv.Load(),
+		ProxyRefs:         proxies,
 	}
 }
 
@@ -561,10 +567,11 @@ func (n *Node) linkTo(addr string) *link {
 	return l
 }
 
-// proxyRef returns the cached proxy Ref under key, creating it on first
-// use. name/id address the remote target (exactly one set); display is the
-// Ref's human-readable name.
-func (n *Node) proxyRef(key, display, addr, name string, id uint64) *actors.Ref {
+// proxyRef returns the cached proxy Ref under key for the actor registered
+// as name on the node at addr, creating it on first use; display is the
+// Ref's human-readable name. Named targets are few and long-lived, so the
+// cache stays small.
+func (n *Node) proxyRef(key, display, addr, name string) *actors.Ref {
 	n.mu.Lock()
 	if p, ok := n.proxies[key]; ok {
 		n.mu.Unlock()
@@ -572,7 +579,7 @@ func (n *Node) proxyRef(key, display, addr, name string, id uint64) *actors.Ref 
 	}
 	n.mu.Unlock()
 	ref := n.sys.NewProxyRefStatus(display, func(e actors.Envelope) actors.ProxyStatus {
-		return n.forward(addr, name, id, e)
+		return n.forward(addr, name, 0, e)
 	})
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -581,6 +588,15 @@ func (n *Node) proxyRef(key, display, addr, name string, id uint64) *actors.Ref 
 	}
 	n.proxies[key] = ref
 	return ref
+}
+
+// idProxy builds a proxy Ref for the actor with system ID id on the node at
+// addr. It is not cached: most such IDs are the reply slots of single asks,
+// so a cache would grow by one entry per remote ask and never shrink.
+func (n *Node) idProxy(display, addr string, id uint64) *actors.Ref {
+	return n.sys.NewProxyRefStatus(display, func(e actors.Envelope) actors.ProxyStatus {
+		return n.forward(addr, "", id, e)
+	})
 }
 
 // forward is the proxy delivery function: it stamps e into a pooled wire
@@ -1000,9 +1016,7 @@ func (n *Node) statics() *staticFrames {
 func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
 	var sender *actors.Ref
 	if w.FromID != 0 && w.FromAddr != "" {
-		display := fmt.Sprintf("%s@%s", w.FromName, w.FromAddr)
-		key := fmt.Sprintf("id:%s#%d", w.FromAddr, w.FromID)
-		sender = n.proxyRef(key, display, w.FromAddr, "", w.FromID)
+		sender = n.idProxy(w.FromName+"@"+w.FromAddr, w.FromAddr, w.FromID)
 	}
 	var target *actors.Ref
 	switch {
@@ -1052,15 +1066,15 @@ func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
 	return target
 }
 
-// tombstone returns a cached always-deadletter proxy for a frame whose
-// target does not exist here, named after the intended destination.
+// tombstone returns an always-deadletter proxy for a frame whose target
+// does not exist here, named after the intended destination: cached for a
+// name, built per frame for an ID (typically the reply to a finished ask).
 func (n *Node) tombstone(w *WireEnvelope) *actors.Ref {
-	dest := w.To
-	if dest == "" {
-		dest = fmt.Sprintf("#%d", w.ToID)
+	if w.To == "" {
+		return n.idProxy(fmt.Sprintf("#%d@%s", w.ToID, n.addr), "", w.ToID)
 	}
-	display := fmt.Sprintf("%s@%s", dest, n.addr)
-	return n.proxyRef("dead:"+display, display, "", "", 0)
+	display := w.To + "@" + n.addr
+	return n.proxyRef("dead:"+display, display, "", "")
 }
 
 // recordWire appends one WireEvent when Config.RecordWire is on.
