@@ -8,7 +8,7 @@
 // Usage:
 //
 //	benchtables [-reps N] [-quick] [-json FILE] [-remote] [-json-remote FILE]
-//	           [-obs] [-json-obs FILE] [-wire] [-json-wire FILE]
+//	           [-obs] [-json-obs FILE]
 //	           [-overload] [-json-overload FILE]
 //
 // -json writes the mailbox/dispatcher numbers to FILE (the committed
@@ -19,9 +19,6 @@
 // with observability off, on at the default sampling rate, with the
 // conservation ledger, and timing every message — and -json-obs writes it
 // to FILE (committed baseline: BENCH_obs.json; see docs/OBSERVABILITY.md).
-// -wire appends the wire hot-path table — streaming codec vs self-contained
-// gob, micro costs and end-to-end floods — and -json-wire writes it to FILE
-// (committed baseline: BENCH_wire.json; see docs/REMOTE.md).
 // -overload appends the overload-protection table — achieved throughput,
 // ask p99, and shed volume at 1×/4×/16× the sink's service rate under
 // credit-based flow control — and -json-overload writes it to FILE
@@ -58,8 +55,6 @@ func main() {
 	jsonRemotePath := flag.String("json-remote", "", "write the remote wire baseline to this file (implies -remote)")
 	withObs := flag.Bool("obs", false, "also run the instrumentation-overhead table")
 	jsonObsPath := flag.String("json-obs", "", "write the instrumentation-overhead baseline to this file (implies -obs)")
-	withWire := flag.Bool("wire", false, "also run the wire hot-path table")
-	jsonWirePath := flag.String("json-wire", "", "write the wire hot-path baseline to this file (implies -wire)")
 	withOverload := flag.Bool("overload", false, "also run the overload-protection table")
 	jsonOverloadPath := flag.String("json-overload", "", "write the overload-protection baseline to this file (implies -overload)")
 	withCluster := flag.Bool("cluster", false, "also run the cluster sharding table (full baseline: cmd/loadgen)")
@@ -117,17 +112,6 @@ func main() {
 		obsEntries := obsTable(*reps, scale)
 		if *jsonObsPath != "" {
 			if err := writeObsBaseline(*jsonObsPath, scale, obsEntries); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	if *withWire || *jsonWirePath != "" {
-		fmt.Println()
-		wireEntries := wireTable(*reps, scale)
-		if *jsonWirePath != "" {
-			if err := writeWireBaseline(*jsonWirePath, scale, wireEntries); err != nil {
 				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 				os.Exit(1)
 			}

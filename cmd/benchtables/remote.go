@@ -171,11 +171,9 @@ func writeRemoteBaseline(path string, scale int, entries []benchEntry) error {
 		Scale   int          `json:"scale"`
 		Entries []benchEntry `json:"entries"`
 	}{
-		Note: "Remote actor wire baseline (default streaming codec, " +
+		Note: "Remote actor wire baseline (streaming payload sessions, " +
 			"length-prefixed frames). Machine-dependent: compare mem vs tcp " +
-			"and ping-pong vs flood ratios, not absolutes. The pre-rewrite " +
-			"gob-codec flood this replaced is pinned as a constant in " +
-			"cmd/benchtables/wire.go.",
+			"and ping-pong vs flood ratios, not absolutes.",
 		Command: "go run ./cmd/benchtables -remote -json-remote BENCH_remote.json",
 		Scale:   scale,
 		Entries: entries,

@@ -14,7 +14,7 @@ import (
 
 // traceTable measures what distributed tracing costs the two hot paths it
 // instruments: the local Tell flood (origination + mailbox/handler marks)
-// and the remote ping-pong (span serialization riding the v5 envelope).
+// and the remote ping-pong (span serialization riding the message frame).
 // Rows are untraced, the default 1-in-64 sampling, and every-message
 // tracing; overhead is relative to the untraced row. The default-sampling
 // rows are the ones the CI trace-smoke bound enforces (≤1.5x on the Tell
@@ -74,7 +74,7 @@ func traceTable(reps, scale int) []benchEntry {
 	}
 
 	// Remote ping-pong over the in-process transport: both nodes traced, so
-	// sampled requests originate at the near node, migrate across the v5
+	// sampled requests originate at the near node, migrate across the
 	// wire, and finish at the echo handler — the full serialization cost.
 	pingN := 4000 / scale
 	pingCases := []struct {

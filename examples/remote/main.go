@@ -19,7 +19,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Wire payloads: exported fields, registered with the codec.
+// Wire payloads: exported fields, registered with remote.RegisterType.
 type Ping struct{ N int }
 type Pong struct{ N int }
 

@@ -896,7 +896,7 @@ func (s *System) MailboxSize(ref *Ref) int {
 func (s *System) Processed() int64 { return s.processed.Load() }
 
 // Tracer returns the system's distributed tracer, nil when tracing is off.
-// The wire layer consults it to negotiate trace-context propagation.
+// The wire layer consults it to tell peers whether it adopts migrating spans.
 func (s *System) Tracer() *trace.Tracer { return s.cfg.Tracer }
 
 // DeadLetters returns the count of undeliverable messages.

@@ -113,8 +113,9 @@ func TestTracedForwardedAsk(t *testing.T) {
 			t.Fatalf("ask %s: %v", name, err)
 		}
 	}
-	// Each direction negotiates span migration on its own link; until the
-	// owner's link back to n1 has, reply spans end at its wire boundary.
+	// Each direction learns span migration from its own link's hello-ack;
+	// until the owner's link back to n1 has, reply spans end at its wire
+	// boundary.
 	// Ask until a reply span lands on n1, then check the next ask.
 	waitUntil(t, 5*time.Second, "a reply span on the asking node", func() bool {
 		ask()

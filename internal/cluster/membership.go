@@ -11,8 +11,8 @@ import (
 // existing liveness machinery instead of adding its own: failure detection
 // comes from remote.Config.OnLinkState (a dial-out link's heartbeat timeout
 // IS the suspicion trigger), and dissemination from remote.Config.Gossip
-// (digests piggyback on heartbeat ticks as FrameGossip, negotiated as
-// CodecVer 4). Each member carries an incarnation number only it may
+// (digests piggyback on heartbeat ticks as FrameGossip frames, which a node
+// without a hook ignores). Each member carries an incarnation number only it may
 // increment: a state claim about a member is ordered first by incarnation,
 // then by direness (alive < suspect < dead < left), so a flapping node
 // cannot resurrect stale ownership — its old alive@i claims lose to the

@@ -21,8 +21,8 @@ import (
 // across the wire fails the run exactly like a local one.
 //
 // Unlike the in-process variants the message types are exported with
-// exported fields: they are encoded by remote.Codec (gob by default), which
-// cannot see unexported fields.
+// exported fields: the wire encodes payloads with gob, which cannot see
+// unexported fields.
 
 // EnterReq asks the bridge to let car number N of the named car on, in the
 // red or blue direction. Retransmits of the same (Car, N) are idempotent.

@@ -143,7 +143,7 @@ func TestRemoteBridgePartitionMidRun(t *testing.T) {
 // TestRemoteBridgeDropsAndPartitionCombined layers both chaos modes at once:
 // 5% random frame loss the whole time, plus a partition sawtooth cutting the
 // link mid-run. Random drops can take a streaming session's type descriptors
-// with them (forcing a teardown + renegotiation, not just a lost message),
+// with them (forcing a teardown + fresh sessions, not just a lost message),
 // and the partition forces reconnects on top — the idempotent protocol and
 // AskRetry must still complete every crossing with the invariant intact.
 func TestRemoteBridgeDropsAndPartitionCombined(t *testing.T) {

@@ -113,8 +113,9 @@ func TestTracedRemoteAsk(t *testing.T) {
 	if err := a.Connect("B", 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Each direction negotiates span migration on its own link (B dials A
-	// for the replies); until both have, spans end at a wire boundary. Ask
+	// Each direction learns span migration from its own link's hello-ack
+	// (B dials A for the replies); until both have, spans end at a wire
+	// boundary. Ask
 	// until a reply span lands on A, then check the next ask.
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; ; i++ {

@@ -5,17 +5,16 @@ import (
 	"time"
 )
 
-// Benchmark hooks for cmd/benchtables. The streaming sessions are an
-// unexported implementation detail of the link layer — codec negotiation
-// decides when they exist, not callers — so the bench harness gets these two
-// narrow, steady-state measurement entry points instead of the sessions
-// themselves.
+// Benchmark hooks. The streaming sessions are an unexported implementation
+// detail of the link layer — one per connection direction — so bench
+// harnesses get these two narrow, steady-state measurement entry points
+// instead of the sessions themselves.
 
 // BenchStreamEncode encodes w through one warm streaming session n times and
 // returns (ns/op, allocs/op, bytes/frame). The first frame — type
 // descriptors, buffer growth — is excluded, as it is on a live link.
 func BenchStreamEncode(n int, w *WireEnvelope) (nsOp, allocsOp, bytesFrame float64) {
-	enc := NewStreamCodec().newEncSession()
+	enc := newEncSession()
 	var buf []byte
 	var err error
 	if buf, err = enc.appendFrame(buf[:0], w); err != nil {
@@ -41,8 +40,7 @@ func BenchStreamEncode(n int, w *WireEnvelope) (nsOp, allocsOp, bytesFrame float
 // BenchStreamDecode decodes a steady-state frame of w through one warm
 // streaming decode session n times and returns (ns/op, allocs/op).
 func BenchStreamDecode(n int, w *WireEnvelope) (nsOp, allocsOp float64) {
-	c := NewStreamCodec()
-	enc, dec := c.newEncSession(), c.newDecSession()
+	enc, dec := newEncSession(), newDecSession()
 	// First frame carries descriptors and may cross a session only once;
 	// decode it, then measure on a descriptor-free follow-up.
 	frame, err := enc.appendFrame(nil, w)

@@ -108,10 +108,10 @@ func TestCoalescedSendsConserveFrames(t *testing.T) {
 	// Warm the streaming session up before arming the dropper: the first
 	// frames of a gob stream carry type descriptors, and losing those would
 	// poison the whole session rather than lose one message. Keep sending
-	// until the link has demonstrably upgraded to streaming, then one more
-	// through the upgraded session, so by the time everything warm has been
-	// delivered the descriptors are settled on the receiver. Steady-state
-	// frames after that are self-contained data.
+	// until the hello-ack has demonstrably landed, then one more through the
+	// session, so by the time everything warm has been delivered the
+	// descriptors are settled on the receiver. Steady-state frames after
+	// that are self-contained data.
 	dropper := &countingDropper{rng: rand.New(rand.NewSource(3)), link: "A->B", p: 0.05}
 	net.SetInjector(dropper)
 	warm := int64(0)
@@ -120,9 +120,9 @@ func TestCoalescedSendsConserveFrames(t *testing.T) {
 		warm++
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for a.Stats().StreamingConns == 0 {
+	for a.Stats().CreditedConns == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("link never upgraded to streaming")
+			t.Fatal("link never received its hello-ack")
 		}
 		tellWarm()
 		time.Sleep(time.Millisecond)
@@ -170,7 +170,7 @@ func TestCoalescedSendsConserveFrames(t *testing.T) {
 
 // TestMidBatchPartitionKeepsFIFO cuts the link repeatedly while a burst is
 // in flight. Frames die mid-batch, the link tears down on heartbeat timeout
-// and renegotiates its streaming session on heal — and through all of it
+// and starts a fresh streaming session on heal — and through all of it
 // the sink must observe strictly increasing per-sender sequence numbers:
 // gaps are allowed (at-most-once), inversions and duplicates are not.
 func TestMidBatchPartitionKeepsFIFO(t *testing.T) {
@@ -253,4 +253,3 @@ func TestMidBatchPartitionKeepsFIFO(t *testing.T) {
 		t.Fatal("partition never bit")
 	}
 }
-

@@ -40,12 +40,12 @@ func TestCreditGatingStallsSender(t *testing.T) {
 	if err := a.Connect("B", 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the credited hello-ack before flooding; frames sent before
-	// the upgrade legitimately travel unmetered.
+	// Wait for the hello-ack before flooding, so the window it grants is
+	// the one under test.
 	deadline := time.Now().Add(5 * time.Second)
 	for a.Stats().CreditedConns == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("connection never negotiated credits")
+			t.Fatal("connection never received its hello-ack")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -81,8 +81,8 @@ func TestCreditGatingStallsSender(t *testing.T) {
 }
 
 // TestCreditedReconnect pins that credit state is connection-scoped: after
-// the peer dies and restarts, the fresh connection renegotiates credits from
-// a clean window and keeps delivering well past one window's worth —
+// the peer dies and restarts, the fresh connection starts from a clean
+// window and keeps delivering well past one window's worth —
 // i.e. no stale consumed/granted counters survive the old session.
 func TestCreditedReconnect(t *testing.T) {
 	const window = 4
@@ -146,7 +146,7 @@ func TestCreditedReconnect(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for a.Stats().CreditedConns == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("first connection never negotiated credits")
+			t.Fatal("first connection never received its hello-ack")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -163,7 +163,7 @@ func TestCreditedReconnect(t *testing.T) {
 	deadline = time.Now().Add(5 * time.Second)
 	for a.Stats().CreditedConns < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("expected a fresh credited negotiation after reconnect, got %d", a.Stats().CreditedConns)
+			t.Fatalf("expected a fresh hello-ack after reconnect, got %d", a.Stats().CreditedConns)
 		}
 		ref.Tell(tPing{N: 3})
 		time.Sleep(time.Millisecond)
@@ -240,7 +240,7 @@ func TestSustainedOverloadChaos(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for a.Stats().CreditedConns == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("connection never negotiated credits")
+			t.Fatal("connection never received its hello-ack")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -402,5 +402,170 @@ func TestSustainedOverloadChaos(t *testing.T) {
 		rate1, rate2, maxQueue, shed, p99, okAsks, overloadedAsks, otherAsks)
 	if rate2 < 0.9*rate1 {
 		t.Fatalf("throughput did not recover: %.0f msgs/sec after spike vs %.0f baseline", rate2, rate1)
+	}
+}
+
+// lossyTransport wraps a Transport so that every frame its connections send
+// — dialed or accepted — is first offered to lose, and silently discarded
+// when lose returns true: a transport that drops exactly the frames a test
+// picks, by content.
+type lossyTransport struct {
+	Transport
+	lose func(frame []byte) bool
+}
+
+func (t lossyTransport) Dial(addr string) (Conn, error) {
+	c, err := t.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return lossyConn{c, t.lose}, nil
+}
+
+func (t lossyTransport) Listen(addr string) (Listener, error) {
+	l, err := t.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return lossyListener{l, t.lose}, nil
+}
+
+type lossyListener struct {
+	Listener
+	lose func(frame []byte) bool
+}
+
+func (l lossyListener) Accept() (Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return lossyConn{c, l.lose}, nil
+}
+
+type lossyConn struct {
+	Conn
+	lose func(frame []byte) bool
+}
+
+func (c lossyConn) Send(frame []byte) error {
+	if c.lose(frame) {
+		return nil
+	}
+	return c.Conn.Send(frame)
+}
+
+// creditPair builds sender A and receiver B with a small credit window, the
+// transports wrapped by ta and tb, and returns the proxy to a sink on B plus
+// a counter of the tPings it handled.
+func creditPair(t *testing.T, window int, ta, tb func(Transport) Transport) (a, b *Node, ref *actors.Ref, got *atomic.Int64) {
+	t.Helper()
+	a, b, _ = twoMemNodes(t, func(c *Config) {
+		c.CreditWindow = window
+		if c.ListenAddr == "A" {
+			c.Transport = ta(c.Transport)
+		} else {
+			c.Transport = tb(c.Transport)
+		}
+	})
+	got = new(atomic.Int64)
+	b.Register("sink", b.System().MustSpawn("sink", func(ctx *actors.Context, msg any) {
+		if _, ok := msg.(tPing); ok {
+			got.Add(1)
+		}
+	}))
+	ref, err := a.RefFor("sink@B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b, ref, got
+}
+
+func plainTransport(tr Transport) Transport { return tr }
+
+// TestCreditWindowSurvivesDroppedMessages pins that a message the transport
+// loses does not leak credit. The sender counts a dropped FrameMsg as
+// consumed, but the receiver never sees it; without the written-message
+// count on heartbeats every drop shrank the window for good, and after a
+// window's worth of drops the link parked forever — heartbeats still
+// flowing, so nothing timed out or reconnected. Here every third message is
+// lost for four windows' worth of drops; the link must keep writing, and
+// once the loss stops every later message must arrive, on the same
+// connection.
+func TestCreditWindowSurvivesDroppedMessages(t *testing.T) {
+	const window = 8
+	var lossy atomic.Bool
+	var msgs, drops atomic.Int64
+	dropper := func(tr Transport) Transport {
+		return lossyTransport{tr, func(frame []byte) bool {
+			if !lossy.Load() || !isMsgFrame(frame) {
+				return false
+			}
+			if msgs.Add(1)%3 == 0 {
+				drops.Add(1)
+				return true
+			}
+			return false
+		}}
+	}
+	a, _, ref, got := creditPair(t, window, dropper, plainTransport)
+	if err := a.Connect("B", 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return a.Stats().CreditedConns > 0 })
+
+	lossy.Store(true)
+	const lossyTells = 12 * window // every third lost: 4 windows' worth of drops
+	for i := 0; i < lossyTells; i++ {
+		ref.Tell(tPing{N: i})
+	}
+	// Without the heartbeat count the link parks after 24 of these: three
+	// windows, eight drops.
+	waitFor(t, 5*time.Second, func() bool { return msgs.Load() >= lossyTells })
+	lossy.Store(false)
+	waitFor(t, 5*time.Second, func() bool { return got.Load() == lossyTells-drops.Load() })
+
+	base := got.Load()
+	for i := 0; i < 50; i++ {
+		ref.Tell(tPing{N: i})
+	}
+	waitFor(t, 5*time.Second, func() bool { return got.Load()-base == 50 })
+	if st := a.Stats(); st.Reconnects != 0 || st.HeartbeatTimeouts != 0 {
+		t.Fatalf("the window healed by reconnecting, not by the heartbeat count: %+v", st)
+	}
+}
+
+// TestLostGrantHealsOnHeartbeat drops the receiver's hello-ack — the
+// connection's first grant — and every FrameCredit after it until the
+// sender has parked. The heartbeat-forced grant resends the current
+// cumulative grant even when it has not moved, so the sender resumes within
+// a heartbeat instead of waiting for a grant that was already sent.
+func TestLostGrantHealsOnHeartbeat(t *testing.T) {
+	const window = 8
+	var lossy atomic.Bool
+	lossy.Store(true)
+	grantDropper := func(tr Transport) Transport {
+		return lossyTransport{tr, func(frame []byte) bool {
+			k := FrameKind(frame[0])
+			return lossy.Load() && (k == FrameHelloAck || k == FrameCredit)
+		}}
+	}
+	a, _, ref, got := creditPair(t, window, plainTransport, grantDropper)
+	if err := a.Connect("B", 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < window; i++ {
+		ref.Tell(tPing{N: i})
+	}
+	// Only the hello's implicit one-message grant gets through.
+	waitFor(t, 5*time.Second, func() bool { return got.Load() == 1 && a.Stats().CreditStalls > 0 })
+	time.Sleep(20 * time.Millisecond) // several heartbeats, all grants lost
+	if n := got.Load(); n != 1 {
+		t.Fatalf("%d messages delivered with every grant lost, want 1", n)
+	}
+	lossy.Store(false)
+	waitFor(t, 5*time.Second, func() bool { return got.Load() == window })
+	if st := a.Stats(); st.Reconnects != 0 {
+		t.Fatalf("healed by reconnecting: %+v", st)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/actors"
 )
 
 // chatterHook is a test GossipHook: every tick it offers one digest naming
@@ -33,9 +35,9 @@ func (h *chatterHook) from(addr string) []string {
 	return append([]string(nil), h.heard[addr]...)
 }
 
-// TestGossipNegotiationAndExchange: two cluster nodes negotiate CodecVer 4
-// and exchange membership digests on the heartbeat cadence, in both
-// directions (each node's dial-out link carries its own gossip).
+// TestGossipNegotiationAndExchange: two nodes with gossip hooks exchange
+// membership digests on the heartbeat cadence, in both directions (each
+// node's dial-out link carries its own gossip).
 func TestGossipNegotiationAndExchange(t *testing.T) {
 	net := NewMemNetwork()
 	hookA, hookB := newChatterHook("A"), newChatterHook("B")
@@ -83,22 +85,23 @@ func TestGossipNegotiationAndExchange(t *testing.T) {
 	}
 }
 
-// TestGossipInteropWithNonClusterPeer: a cluster node (v4) against a plain
-// streaming peer negotiates down — messages flow, no gossip frames are ever
-// sent, and the non-cluster peer's hook absence is harmless.
+// TestGossipInteropWithNonClusterPeer: a node with a gossip hook sends its
+// digests to a peer without one; the hookless peer ignores them, and
+// messages keep flowing on the same connection.
 func TestGossipInteropWithNonClusterPeer(t *testing.T) {
 	net := NewMemNetwork()
 	hook := newChatterHook("A")
 	a, err := NewNode(Config{
 		ListenAddr: "A", Transport: net.Endpoint("A"),
 		HeartbeatInterval: 2 * time.Millisecond,
-		Gossip:            hook, Seed: 1,
+		// Generous, so a reconnect can only mean B refused the gossip.
+		HeartbeatTimeout: time.Second,
+		Gossip:           hook, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	// B has no gossip hook: it acks v3 (credited) at most, never v4.
 	b, err := NewNode(Config{
 		ListenAddr: "B", Transport: net.Endpoint("B"),
 		HeartbeatInterval: 2 * time.Millisecond, Seed: 2,
@@ -107,18 +110,40 @@ func TestGossipInteropWithNonClusterPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-
-	if err := a.Connect("B", 2*time.Second); err != nil {
+	got := make(chan tPing, 16)
+	b.Register("sink", b.System().MustSpawn("sink", func(ctx *actors.Context, msg any) {
+		if p, ok := msg.(tPing); ok {
+			got <- p
+		}
+	}))
+	ref, err := a.RefFor("sink@B")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough heartbeat ticks for gossip to have flowed if it were going to.
-	time.Sleep(50 * time.Millisecond)
-	if st := a.Stats(); st.GossipFramesSent != 0 {
-		t.Fatalf("cluster node sent %d gossip frames to a non-cluster peer", st.GossipFramesSent)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for a.Stats().GossipFramesSent < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gossip node sent only %d digests", a.Stats().GossipFramesSent)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	// The downgraded connection still negotiated credits (v3 ack, Seq>0).
-	if st := a.Stats(); st.CreditedConns == 0 {
-		t.Fatalf("v4 dialer against v3 receiver failed to negotiate credits: %+v", st)
+	for i := 0; i < 3; i++ {
+		ref.Tell(tPing{N: i})
+		select {
+		case p := <-got:
+			if p.N != i {
+				t.Fatalf("got %+v, want N=%d", p, i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d never crossed a link carrying ignored gossip", i)
+		}
+	}
+	if st := b.Stats(); st.GossipFramesRecv != 0 || st.DecodeErrors != 0 {
+		t.Fatalf("hookless peer handled gossip: %+v", st)
+	}
+	if st := a.Stats(); st.Reconnects != 0 {
+		t.Fatalf("link reconnected %d times; ignored gossip must not disturb it", st.Reconnects)
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 // link to us — so inbound traffic here is only heartbeat and hello acks.
 //
 // The outbox carries envelopes, not frames: encoding happens on the writer
-// goroutine, which owns the connection's codec session and one grow-only
+// goroutine, which owns the connection's payload session and one grow-only
 // scratch buffer, so the steady-state send path allocates nothing and the
 // writer can coalesce every ready envelope into a single buffered write
 // with one flush when the queue goes empty (Nagle without the delay).
@@ -85,10 +85,10 @@ func (l *link) enqueue(w *WireEnvelope) enqResult {
 }
 
 // credits reports the live connection's available credit, or -1 when the
-// connection is down or uncredited (metered send does not apply).
+// connection is down.
 func (l *link) credits() int64 {
 	cs := l.cs.Load()
-	if cs == nil || !cs.credited.Load() {
+	if cs == nil {
 		return -1
 	}
 	return cs.available()
@@ -156,44 +156,31 @@ func (l *link) run() {
 	}
 }
 
-// connState is the per-connection wire-format state the writer owns. A
-// fresh connection starts on self-contained v1 frames; when the reader sees
-// the peer's FrameHelloAck it sets acked, and the writer upgrades to v2
-// framing (binary header + streaming payload session) from the next frame
-// on. Both formats are distinguishable per frame by the leading byte, so
-// the upgrade needs no synchronization beyond the ordered connection.
+// connState is the per-connection wire state the writer owns. Everything
+// is connection-scoped: a reconnect starts a fresh payload session and a
+// fresh credit window on both ends.
 type connState struct {
-	acked   atomic.Bool // reader → writer: peer granted streaming
-	v2      bool        // writer-local: upgrade performed
 	sess    *encSession
 	scratch []byte // grow-only encode buffer, reused for every frame
 
-	// Credit flow control (all connection-scoped; a reconnect starts from
-	// zero on both ends, like the codec session). credited flips when the
-	// peer's hello-ack carries codecVerCredited; granted is the peer's
-	// cumulative grant (reader → writer, monotonic); consumed counts
+	// Credit flow control. granted is the peer's cumulative grant (reader →
+	// writer, monotonic; one until the hello-ack arrives); consumed counts
 	// FrameMsg written since the connection opened (writer-owned, atomic
 	// only so the credits gauge can read it). available = granted−consumed;
 	// at ≤ 0 the writer parks the next message until the reader signals
 	// creditCh (capacity 1 — a wakeup token, not a value).
-	credited atomic.Bool
 	granted  atomic.Int64
 	consumed atomic.Int64
 	creditCh chan struct{}
 
-	// clusterOK flips when the peer's hello-ack echoes codecVerCluster:
-	// this connection may carry FrameGossip (reader → writer, like acked).
-	clusterOK atomic.Bool
-
-	// tracedOK flips when the peer's hello-ack echoes codecVerTraced: this
-	// connection's FrameMsg may carry migrating trace spans. Until then —
-	// and forever against older peers — the writer seals any span at the
-	// wire boundary instead (the trace ends here, but what was measured is
-	// kept).
-	tracedOK atomic.Bool
+	// peerTraced is set when the peer's hello-ack carried frameFlagTraced:
+	// this connection's FrameMsg may carry migrating trace spans. Until
+	// then the writer seals any span at the wire boundary instead (the
+	// trace ends here, but what was measured is kept).
+	peerTraced atomic.Bool
 }
 
-// available is the remaining credit window; meaningful only when credited.
+// available is the remaining credit window.
 func (cs *connState) available() int64 { return cs.granted.Load() - cs.consumed.Load() }
 
 // grant raises the cumulative grant to g (grants are monotonic; stale or
@@ -220,40 +207,27 @@ func (cs *connState) grant(g int64) {
 // timeout, or the node closes.
 func (l *link) serve(conn Conn) {
 	n := l.n
-	hello := &WireEnvelope{Kind: FrameHello, FromAddr: n.addr, Lamport: n.clock.Tick()}
-	if _, ok := n.codec.(sessionCodec); ok {
-		hello.CodecVer = codecVerStreaming
-		if n.creditsOn() {
-			hello.CodecVer = codecVerCredited
-		}
-		if n.gossipOn() {
-			hello.CodecVer = codecVerCluster
-		}
-		if n.tracedOn() {
-			hello.CodecVer = codecVerTraced
-		}
-	}
-	data, err := n.codec.Encode(hello)
-	if err != nil {
-		n.encodeErrs.Add(1)
+	cs := &connState{sess: newEncSession(), creditCh: make(chan struct{}, 1)}
+	// The hello carries an implicit grant of one message: the first message
+	// of a connection does not wait a round trip, and a connection whose
+	// hello is lost still writes (and loses) it, which is the loss a wire
+	// recording captures. Everything after it waits for the hello-ack.
+	cs.granted.Store(1)
+	if !l.sendControl(conn, cs, &WireEnvelope{
+		Kind: FrameHello, FromAddr: n.addr, Seq: wireProtocol, Lamport: n.clock.Tick(),
+	}) {
 		return
 	}
-	if err := conn.Send(data); err != nil {
-		return
-	}
-	n.bytesSent.Add(int64(len(data)))
 	l.lastRecv.Store(time.Now().UnixNano())
 	l.state.Store(linkUp)
 	l.notify(true)
-
-	cs := &connState{creditCh: make(chan struct{}, 1)}
 	l.cs.Store(cs)
 	defer l.cs.Store(nil)
 
-	// Reader: the only inbound traffic on a dial-out connection is hello
-	// acks, heartbeat acks, and credit grants, consumed as liveness
-	// evidence (plus the codec upgrade signal and clock merges). It exits
-	// when the connection closes from either side.
+	// Reader: the only inbound traffic on a dial-out connection is the
+	// hello-ack, heartbeat acks, and credit grants — header-only frames,
+	// consumed as liveness evidence, grants and clock merges. It exits when
+	// the connection closes from either side.
 	readErr := make(chan struct{})
 	n.wg.Add(1)
 	go func() {
@@ -265,7 +239,8 @@ func (l *link) serve(conn Conn) {
 				return
 			}
 			n.bytesRecv.Add(int64(len(frame)))
-			w, derr := l.decodeInbound(frame)
+			var w WireEnvelope
+			_, derr := decodeEnvelopeInto(&w, frame, nil)
 			putFrame(frame)
 			if derr != nil {
 				n.decodeErrs.Add(1)
@@ -276,28 +251,11 @@ func (l *link) serve(conn Conn) {
 			l.lastRecv.Store(now)
 			switch w.Kind {
 			case FrameHelloAck:
-				if w.CodecVer >= codecVerStreaming {
-					cs.acked.Store(true)
-				}
-				if w.CodecVer >= codecVerCredited && n.creditsOn() && w.Seq > 0 {
-					// The credited ack's Seq is the initial window. Order
-					// matters for the gauge only: grant before flipping
-					// credited so a gauge read never sees credited with a
-					// zero window it would misread as a stall. A v4 ack with
-					// Seq 0 is a cluster peer that does not meter — arming
-					// credits off an empty grant would park the writer
-					// forever, so metering stays off.
-					cs.grant(int64(w.Seq))
-					if cs.credited.CompareAndSwap(false, true) {
-						n.creditedConns.Add(1)
-					}
-				}
-				if w.CodecVer >= codecVerCluster && n.gossipOn() {
-					cs.clusterOK.Store(true)
-				}
-				if w.CodecVer >= codecVerTraced && n.tracedOn() {
-					cs.tracedOK.Store(true)
-				}
+				// Publish the capability before the grant wakes the
+				// writer, so the first message already sees it.
+				cs.peerTraced.Store(w.flags&frameFlagTraced != 0)
+				cs.grant(int64(w.Seq))
+				n.creditedConns.Add(1)
 			case FrameCredit:
 				n.creditFramesRecv.Add(1)
 				cs.grant(int64(w.Seq))
@@ -361,7 +319,7 @@ func (l *link) serve(conn Conn) {
 				return
 			}
 		}
-		if cs.available() > 0 || !cs.credited.Load() {
+		if cs.available() > 0 {
 			if pending.span != nil {
 				// The park is over: everything since the stall mark was
 				// time spent waiting on the peer's credit window.
@@ -375,9 +333,15 @@ func (l *link) serve(conn Conn) {
 }
 
 // tick runs one heartbeat-interval maintenance pass: the peer-silence check
-// plus a pre-encoded probe (a static frame, not a codec round trip). False
-// means the connection is dead or the peer timed out; the caller tears it
-// down.
+// plus a probe. False means the connection is dead or the peer timed out;
+// the caller tears it down.
+//
+// The probe carries the count of FrameMsg written so far. On an ordered
+// connection every one of them has, by the time the probe arrives, either
+// arrived or been lost, so the receiver can count the lost ones as
+// delivered — otherwise every dropped message would shrink the credit
+// window for good, and after a window's worth the link would park forever
+// with heartbeats still flowing.
 func (l *link) tick(conn Conn, cs *connState) bool {
 	n := l.n
 	silence := time.Since(time.Unix(0, l.lastRecv.Load()))
@@ -385,74 +349,41 @@ func (l *link) tick(conn Conn, cs *connState) bool {
 		n.hbTimeouts.Add(1)
 		return false
 	}
-	cs.maybeUpgrade(n)
-	hb := n.statics().heartbeat(cs.v2)
-	if hb == nil {
-		return true // codec could not encode a heartbeat at init
-	}
 	l.hbSentAt.Store(time.Now().UnixNano())
-	if err := conn.Send(hb); err != nil {
+	// Lamport 0: liveness probes are not causal events, and Observe(0) is a
+	// no-op on the receiver.
+	if !l.sendControl(conn, cs, &WireEnvelope{
+		Kind: FrameHeartbeat, FromAddr: n.addr, Seq: uint64(cs.consumed.Load()),
+	}) {
 		return false
 	}
-	n.bytesSent.Add(int64(len(hb)))
-	// Membership gossip rides the same cadence: one digest per tick, on
-	// connections whose hello-ack granted codecVerCluster. The digest is
-	// opaque bytes in the To field — a self-contained frame, so a drop costs
-	// one round of dissemination, never the payload session. Encoded into
-	// the writer-owned scratch buffer (tick runs on the manager goroutine,
-	// same as writeBatch).
-	if g := n.cfg.Gossip; g != nil && cs.clusterOK.Load() {
+	// Membership gossip rides the same cadence: one digest per tick. The
+	// digest is opaque bytes in the To field — a header-only frame, so a
+	// drop costs one round of dissemination, never the payload session.
+	if g := n.cfg.Gossip; g != nil {
 		if digest := g.GossipDigest(l.peer); len(digest) > 0 {
-			cs.scratch = appendEnvelope(cs.scratch[:0], &WireEnvelope{
+			if !l.sendControl(conn, cs, &WireEnvelope{
 				Kind: FrameGossip, FromAddr: n.addr,
 				To: string(digest), Lamport: n.clock.Tick(),
-			})
-			if err := conn.Send(cs.scratch); err != nil {
+			}) {
 				return false
 			}
-			n.bytesSent.Add(int64(len(cs.scratch)))
 			n.gossipSent.Add(1)
 		}
 	}
 	return true
 }
 
-// decodeInbound parses one ack-direction frame, routing by the leading byte:
-// tagged frames are v2 binary (no payload ever travels toward a dialer),
-// untagged ones go through the self-contained codec.
-func (l *link) decodeInbound(frame []byte) (WireEnvelope, error) {
-	if len(frame) > 0 && frame[0] == frameTagBinary {
-		var w WireEnvelope
-		if _, err := decodeEnvelopeInto(&w, frame, nil); err != nil {
-			return WireEnvelope{}, err
-		}
-		return w, nil
+// sendControl writes one header-only frame through the writer-owned scratch
+// buffer (manager goroutine only, like writeBatch); false means the
+// connection is dead.
+func (l *link) sendControl(conn Conn, cs *connState, w *WireEnvelope) bool {
+	cs.scratch = appendEnvelope(cs.scratch[:0], w)
+	if err := conn.Send(cs.scratch); err != nil {
+		return false
 	}
-	w, err := l.n.codec.Decode(frame)
-	if err != nil {
-		return WireEnvelope{}, err
-	}
-	return *w, nil
-}
-
-// maybeUpgrade flips the connection to v2 framing once the peer's hello-ack
-// has arrived, creating the outbound payload session — unless the transport
-// is in record/replay mode. A streaming session's frames are decodable only
-// in encode order (gob type descriptors ride the first frame that needs
-// them), which is exactly what the replayer's reorder buffer violates when
-// it forces a divergent re-execution back into the recorded content order.
-// Determinism mode therefore keeps every frame self-contained: reorderable,
-// and byte-comparable between the recorded and replayed runs.
-func (cs *connState) maybeUpgrade(n *Node) {
-	if cs.v2 || !cs.acked.Load() {
-		return
-	}
-	if st, ok := n.tr.(contentStamper); ok && st.stampContent() {
-		return
-	}
-	cs.v2 = true
-	cs.sess = n.codec.(sessionCodec).newEncSession()
-	n.streamConns.Add(1)
+	l.n.bytesSent.Add(int64(len(cs.scratch)))
+	return true
 }
 
 // writeBatch drains every envelope that is already queued — starting with
@@ -462,31 +393,18 @@ func (cs *connState) maybeUpgrade(n *Node) {
 // of sends into one syscall; on per-frame transports (mem) it degrades to
 // ordinary sends, preserving the per-frame fault-injection site either way.
 //
-// On a credited connection each message costs one credit; when the window
-// runs dry mid-batch the current envelope is returned as pending — what was
-// already encoded still flushes — and the caller parks until the peer
-// grants more. ok == false means the connection is dead or the codec
-// session is poisoned; the caller tears the connection down and the manager
-// loop redials.
+// Each message costs one credit; when the window runs dry mid-batch the
+// current envelope is returned as pending — what was already encoded still
+// flushes — and the caller parks until the peer grants more. ok == false
+// means the connection is dead or the payload session is poisoned; the
+// caller tears the connection down and the manager loop redials.
 func (l *link) writeBatch(conn Conn, cs *connState, first *WireEnvelope) (pending *WireEnvelope, ok bool) {
 	n := l.n
 	bw, buffered := conn.(BufferedConn)
-	cs.maybeUpgrade(n)
 	w := first
 	frames := int64(0)
 	for {
-		if w.Kind == FrameMsg && w.span != nil && (!cs.v2 || !cs.tracedOK.Load()) {
-			// The peer cannot adopt spans (pre-v5, or the self-contained
-			// fallback format, whose gob encoding never carries the
-			// unexported field): the trace ends at this node's wire
-			// boundary. Charge the outbox wait to the wire stage and seal,
-			// so partial traces still attribute what they saw.
-			now := trace.SpanNow()
-			w.span.Mark(trace.StageWire, now)
-			w.span.Finish(now)
-			w.span = nil
-		}
-		if w.Kind == FrameMsg && cs.credited.Load() && cs.available() <= 0 {
+		if w.Kind == FrameMsg && cs.available() <= 0 {
 			if w.span != nil {
 				// Entering a credit park: close out the wire stage so the
 				// stall mark at un-park measures only the park.
@@ -496,25 +414,31 @@ func (l *link) writeBatch(conn Conn, cs *connState, first *WireEnvelope) (pendin
 			n.creditStalls.Add(1)
 			break
 		}
-		var frame []byte
-		var err error
-		if cs.v2 {
-			cs.scratch, err = cs.sess.appendFrame(cs.scratch[:0], w)
-			frame = cs.scratch
-		} else {
-			frame, err = n.codec.Encode(w)
+		if w.Kind == FrameMsg && w.span != nil && !cs.peerTraced.Load() {
+			// The peer has no tracer to adopt the span: the trace ends at
+			// this node's wire boundary. Charge the outbox wait to the wire
+			// stage and seal, so partial traces still attribute what they
+			// saw.
+			now := trace.SpanNow()
+			w.span.Mark(trace.StageWire, now)
+			w.span.Finish(now)
+			w.span = nil
 		}
+		var err error
+		cs.scratch, err = cs.sess.appendFrame(cs.scratch[:0], w)
+		frame := cs.scratch
 		isMsg := w.Kind == FrameMsg
+		selfContained := w.flags&frameFlagSelfContained != 0
 		putEnvelope(w)
 		if err != nil {
 			n.encodeErrs.Add(1)
-			if cs.v2 {
+			if !selfContained {
 				// The payload session may hold a half-recorded type
 				// descriptor; the stream is no longer trustworthy.
 				return nil, false
 			}
-			// Self-contained frames are independent: drop this one, keep
-			// draining.
+			// A self-contained frame never touched the session: drop this
+			// one, keep draining.
 		} else {
 			var serr error
 			if buffered {

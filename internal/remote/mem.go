@@ -97,8 +97,8 @@ func (m *MemNetwork) replayer() *Replayer {
 }
 
 // recordSend appends one application-frame decision to the active recording,
-// if any. Classification runs only while recording (gob fallback decode is
-// not free), and append order under the recording's lock is the schedule.
+// if any. Classification runs only while recording, and append order under
+// the recording's lock is the schedule.
 func (m *MemNetwork) recordSend(src, dst string, drop bool, frame []byte) {
 	m.mu.Lock()
 	rec := m.recording

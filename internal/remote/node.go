@@ -24,10 +24,6 @@ type Config struct {
 	ListenAddr string
 	// Transport moves frames (required).
 	Transport Transport
-	// Codec encodes envelopes (default NewStreamCodec(), which negotiates
-	// the v2 streaming wire format per connection and falls back to
-	// self-contained gob frames against peers that don't support it).
-	Codec Codec
 	// System is the actor system the node serves. When nil, the node
 	// creates one with default config and shuts it down on Close.
 	System *actors.System
@@ -48,11 +44,9 @@ type Config struct {
 	// A full outbox deadletters the send instead of blocking it.
 	OutboxCap int
 	// CreditWindow is the per-connection credit window this node grants to
-	// credited peers: the number of messages a sender may have in flight
-	// beyond what this node has already received (default 1024; negative
-	// disables credits entirely, making the node behave like a pre-credit
-	// peer). Both directions of a node pair negotiate independently — each
-	// receiver meters its own inbound connection. The window bounds
+	// its peers: the number of messages a sender may have in flight beyond
+	// what this node has already received (default 1024). Each receiver
+	// meters its own inbound connections. The window bounds
 	// receiver-side queue growth per link; senders that exhaust it park
 	// their link writer, and once the outbox also fills, sends deadletter
 	// as Overloaded instead of buffering without bound.
@@ -62,13 +56,12 @@ type Config struct {
 	// cross-node traces can be merged into one causal diagram. Off by
 	// default: the log grows with traffic.
 	RecordWire bool
-	// Gossip, when set (and the codec supports sessions), makes the node
-	// advertise codecVerCluster and piggyback membership digests on its
-	// heartbeat cadence: every heartbeat tick on a dial-out link whose peer
-	// granted v4 also carries one FrameGossip with GossipDigest's bytes, and
-	// every inbound FrameGossip is handed to OnGossip. Digests are opaque to
-	// this layer — internal/cluster owns their encoding. Both hook methods
-	// run on link goroutines and must not block.
+	// Gossip, when set, piggybacks membership digests on the node's
+	// heartbeat cadence: every heartbeat tick on a dial-out link also carries
+	// one FrameGossip with GossipDigest's bytes, and every inbound
+	// FrameGossip is handed to OnGossip (a node without a hook ignores
+	// them). Digests are opaque to this layer — internal/cluster owns their
+	// encoding. Both hook methods run on link goroutines and must not block.
 	Gossip GossipHook
 	// OnLinkState, when set, is called on every dial-out link liveness
 	// transition: up=true once the link's hello is on the wire, up=false
@@ -94,9 +87,6 @@ type GossipHook interface {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Codec == nil {
-		c.Codec = NewStreamCodec()
-	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 250 * time.Millisecond
 	}
@@ -115,7 +105,7 @@ func (c Config) withDefaults() Config {
 	if c.OutboxCap <= 0 {
 		c.OutboxCap = 256
 	}
-	if c.CreditWindow == 0 {
+	if c.CreditWindow <= 0 {
 		c.CreditWindow = 1024
 	}
 	return c
@@ -132,7 +122,6 @@ type Node struct {
 	tr     Transport
 	lis    Listener
 	addr   string
-	codec  Codec
 	clock  trace.LamportClock
 
 	rngMu sync.Mutex
@@ -157,16 +146,15 @@ type Node struct {
 	bytesRecv     atomic.Int64
 	batches       atomic.Int64
 	batchedFrames atomic.Int64
-	streamConns   atomic.Int64
 
 	// Flow-control counters. creditStalls: times a link writer parked on an
 	// empty window; creditFramesSent/Recv: FrameCredit traffic (sent as
 	// receiver, received as sender); creditsGranted: cumulative messages
 	// worth of credit issued; outboxOverflows: sends shed because a live
-	// link's outbox was full; creditedConns: connections negotiated to the
-	// credited protocol (either direction); inboundShed: inbound messages
-	// shed because the target's bounded mailbox was full (the reader never
-	// blocks — see dispatch).
+	// link's outbox was full; creditedConns: connections whose hello-ack
+	// opened the credit window (sent as receiver, received as dialer);
+	// inboundShed: inbound messages shed because the target's bounded
+	// mailbox was full (the reader never blocks — see dispatch).
 	creditStalls     atomic.Int64
 	creditFramesSent atomic.Int64
 	creditFramesRecv atomic.Int64
@@ -184,8 +172,10 @@ type Node struct {
 	metricsReg    *metrics.Registry
 	metricsPrefix string
 
-	staticsOnce sync.Once
-	staticFr    *staticFrames
+	// hbAck is the pre-encoded heartbeat answer, the one frame a node sends
+	// often enough to keep as static bytes. Lamport 0: liveness probes are
+	// not causal events, and Observe(0) is a no-op on the receiver.
+	hbAck []byte
 
 	// rtt, when set (RegisterMetrics), receives heartbeat round-trip times
 	// measured on every dial-out link. An atomic pointer so links read it
@@ -216,13 +206,13 @@ func NewNode(cfg Config) (*Node, error) {
 		tr:      cfg.Transport,
 		lis:     lis,
 		addr:    lis.Addr(),
-		codec:   cfg.Codec,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 0x9e37)),
 		links:   map[string]*link{},
 		names:   map[string]*actors.Ref{},
 		proxies: map[string]*actors.Ref{},
 		done:    make(chan struct{}),
 	}
+	n.hbAck = appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeatAck, FromAddr: n.addr})
 	if n.sys == nil {
 		n.sys = actors.NewSystem(actors.Config{})
 		n.ownSys = true
@@ -235,39 +225,6 @@ func NewNode(cfg Config) (*Node, error) {
 // Addr returns the node's resolved listen address — its identity on the
 // wire.
 func (n *Node) Addr() string { return n.addr }
-
-// creditsOn reports whether this node speaks credit-based flow control
-// (Config.CreditWindow not negative, codec supports sessions).
-func (n *Node) creditsOn() bool {
-	if n.cfg.CreditWindow <= 0 {
-		return false
-	}
-	_, ok := n.codec.(sessionCodec)
-	return ok
-}
-
-// gossipOn reports whether this node speaks membership gossip (a GossipHook
-// is configured and the codec supports sessions — gossip frames only exist
-// in the v2 binary framing).
-func (n *Node) gossipOn() bool {
-	if n.cfg.Gossip == nil {
-		return false
-	}
-	_, ok := n.codec.(sessionCodec)
-	return ok
-}
-
-// tracedOn reports whether this node can migrate trace spans across the wire
-// (its System has a Tracer and the codec supports sessions — span fields only
-// exist in the v2 binary framing). Both sides need a tracer: the dialer to
-// originate and serialize spans, the receiver to adopt them into its ring.
-func (n *Node) tracedOn() bool {
-	if n.sys.Tracer() == nil {
-		return false
-	}
-	_, ok := n.codec.(sessionCodec)
-	return ok
-}
 
 // System returns the actor system this node serves.
 func (n *Node) System() *actors.System { return n.sys }
@@ -369,8 +326,7 @@ type Stats struct {
 	BytesReceived     int64 // frame bytes read (all frame kinds)
 	Batches           int64 // coalesced write batches flushed by link writers
 	BatchedFrames     int64 // application+control frames those batches carried
-	StreamingConns    int64 // connections upgraded to the v2 streaming format
-	CreditedConns     int64 // connections negotiated to credited flow control
+	CreditedConns     int64 // connections whose hello-ack opened the credit window (either end)
 	CreditStalls      int64 // link writers parked on an exhausted credit window
 	CreditFramesSent  int64 // FrameCredit grants issued to inbound senders
 	CreditFramesRecv  int64 // FrameCredit grants received on dial-out links
@@ -399,7 +355,6 @@ func (n *Node) Stats() Stats {
 		BytesReceived:     n.bytesRecv.Load(),
 		Batches:           n.batches.Load(),
 		BatchedFrames:     n.batchedFrames.Load(),
-		StreamingConns:    n.streamConns.Load(),
 		CreditedConns:     n.creditedConns.Load(),
 		CreditStalls:      n.creditStalls.Load(),
 		CreditFramesSent:  n.creditFramesSent.Load(),
@@ -414,8 +369,8 @@ func (n *Node) Stats() Stats {
 }
 
 // LinkInfo is one dial-out link's live state, for introspection surfaces
-// (the /debug/cluster endpoint). Credits is -1 while the connection is down
-// or uncredited — metering does not apply.
+// (the /debug/cluster endpoint). Credits is -1 while the connection is
+// down.
 type LinkInfo struct {
 	Peer        string `json:"peer"`
 	State       string `json:"state"` // connecting, up, down
@@ -471,7 +426,6 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Gauge(prefix+".wire.bytes_received", n.bytesRecv.Load)
 	reg.Gauge(prefix+".wire.batches", n.batches.Load)
 	reg.Gauge(prefix+".wire.batched_frames", n.batchedFrames.Load)
-	reg.Gauge(prefix+".wire.streaming_conns", n.streamConns.Load)
 	reg.Gauge(prefix+".wire.credited_conns", n.creditedConns.Load)
 	reg.Gauge(prefix+".wire.credit_stalls", n.creditStalls.Load)
 	reg.Gauge(prefix+".wire.credit_frames_sent", n.creditFramesSent.Load)
@@ -505,7 +459,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, prefix string) {
 
 // registerLinkGauges exposes one link's queue depth and remaining credit
 // window as prefix.wire.link.<peer>.{outbox_depth,credits}. credits reads
-// -1 while the connection is down or uncredited (metering does not apply).
+// -1 while the connection is down.
 func (n *Node) registerLinkGauges(reg *metrics.Registry, prefix, addr string, l *link) {
 	reg.Gauge(prefix+".wire.link."+addr+".outbox_depth", l.depth)
 	reg.Gauge(prefix+".wire.link."+addr+".credits", l.credits)
@@ -626,12 +580,15 @@ func (n *Node) forward(addr, name string, id uint64, e actors.Envelope) actors.P
 	}
 	if st, ok := n.tr.(contentStamper); ok && st.stampContent() {
 		// Record/replay is active on this transport: fingerprint the payload
-		// so the wire schedule can pin same-link content order (replay.go).
+		// so the wire schedule can pin same-link content order (replay.go),
+		// and keep the frame decodable in isolation, because the replayer
+		// reorders frames to force that order.
 		w.Content = contentHash(name, id, e.Msg)
+		w.flags = frameFlagSelfContained
 	}
 	// The span migrates with the message: ownership transfers to the wire
 	// envelope here, and the link writer either serializes it (traced
-	// connection) or seals it at the wire boundary (older peer). On a
+	// peer) or seals it at the wire boundary (untraced peer). On a
 	// refused enqueue ownership stays with e — the caller's deadletter
 	// path finishes the span with the refusal kind.
 	w.span = e.Span
@@ -676,117 +633,58 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// serveConn reads one inbound connection until it closes, answering hellos
-// and heartbeats and dispatching application frames. It routes each frame by
-// its leading byte: v2 binary frames go through the connection's streaming
-// decode session (created when the dialer's hello is granted), self-contained
-// frames through the codec. A session decode error means the stream is
-// desynchronized — typically a lost frame took gob type descriptors with it —
-// so the connection is torn down and the dialer renegotiates on reconnect.
+// serveConn reads one inbound connection until it closes, answering the
+// hello and heartbeats and dispatching application frames through the
+// connection's payload decode session. Any decode error means the stream may
+// be desynchronized — typically a lost frame took gob type descriptors with
+// it — so the connection is torn down and the dialer starts fresh sessions
+// on reconnect. A hello carrying another protocol is refused the same way.
+//
+// Decoding and credit state exist from the first frame, not from the hello:
+// a dropped hello costs only its ack, whose grant the first heartbeat
+// resends.
 func (n *Node) serveConn(c Conn) {
 	defer n.wg.Done()
 	defer c.Close()
-	var sess *decSession  // non-nil once streaming is granted
-	var cred *creditState // non-nil once credited flow control is granted
-	var env WireEnvelope  // reused decode target for v2 frames
-	defer func() {
-		if cred != nil {
-			close(cred.closed) // stop any drain watcher
-		}
-	}()
+	sess := newDecSession()
+	cred := newCreditState(n)
+	defer close(cred.closed) // stop any drain watcher
+	var env WireEnvelope     // reused decode target
 	for {
 		frame, err := c.Recv()
 		if err != nil {
 			return
 		}
 		n.bytesRecv.Add(int64(len(frame)))
-		var w *WireEnvelope
-		if len(frame) > 0 && frame[0] == frameTagBinary {
-			if sess == nil {
-				// A tagged frame on a connection that never negotiated
-				// streaming is corruption, not a format the codec knows.
-				putFrame(frame)
-				n.decodeErrs.Add(1)
-				return
-			}
-			env = WireEnvelope{}
-			if err := sess.decodeFrame(frame, &env); err != nil {
-				putFrame(frame)
-				n.decodeErrs.Add(1)
-				return
-			}
-			w = &env
-		} else {
-			var derr error
-			w, derr = n.codec.Decode(frame)
-			if derr != nil {
-				putFrame(frame)
-				n.decodeErrs.Add(1)
-				continue
-			}
-		}
+		env = WireEnvelope{}
+		err = sess.decodeFrame(frame, &env)
 		putFrame(frame)
+		if err != nil || env.Kind == FrameHello && env.Seq != wireProtocol {
+			n.decodeErrs.Add(1)
+			return
+		}
+		w := &env
 		// Clock merge on receive: the Lamport max-rule, so every frame —
 		// heartbeats included — keeps the two nodes' clocks entangled.
 		lam := n.clock.Observe(w.Lamport)
 		n.received.Add(1)
 		switch w.Kind {
 		case FrameHello:
-			if w.CodecVer >= codecVerStreaming && sess == nil {
-				if sc, ok := n.codec.(sessionCodec); ok {
-					sess = sc.newDecSession()
-					n.streamConns.Add(1)
-					ack := n.statics().helloAck
-					if w.CodecVer >= codecVerCredited && n.creditsOn() {
-						// Credited hello from a credited node: answer with
-						// the credited ack, whose Seq carries the initial
-						// window — the first cumulative grant.
-						cred = newCreditState(n)
-						n.creditedConns.Add(1)
-						n.creditsGranted.Add(cred.granted)
-						ack = n.statics().helloAckCredited
-					}
-					if w.CodecVer >= codecVerCluster && n.gossipOn() {
-						// Cluster hello from a cluster node: the v4 ack
-						// subsumes the credited one (its Seq carries the
-						// window when this node meters, zero when not).
-						ack = n.statics().helloAckCluster
-					}
-					if w.CodecVer >= codecVerTraced && n.tracedOn() {
-						// Traced hello from a traced node: the v5 ack grants
-						// span migration on top of whatever the lower rungs
-						// negotiated (Seq carries the credit window exactly
-						// like the v4 ack; capabilities below v5 stay gated
-						// per-feature on both ends).
-						ack = n.statics().helloAckTraced
-					}
-					// A failed ack write is the dialer's problem to detect.
-					if c.Send(ack) == nil {
-						n.bytesSent.Add(int64(len(ack)))
-					}
-				}
+			var flags uint8
+			if n.sys.Tracer() != nil {
+				flags = frameFlagTraced
 			}
+			cred.ack(c, flags)
 		case FrameHeartbeat:
-			if cred != nil {
-				// Heartbeats force a grant re-check so a window that opened
-				// while the sender was stalled (mailboxes drained, no new
-				// messages to trigger the batched path) is returned within
-				// one heartbeat interval.
-				cred.maybeGrant(c, true)
-			}
-			if ack := n.statics().heartbeatAck(sess != nil); ack != nil {
-				if c.Send(ack) == nil {
-					n.bytesSent.Add(int64(len(ack)))
-				}
+			cred.onHeartbeat(c, int64(w.Seq))
+			if c.Send(n.hbAck) == nil {
+				n.bytesSent.Add(int64(len(n.hbAck)))
 			}
 		case FrameMsg:
 			if n.cfg.RecordWire {
 				n.recordWire("recv", w.FromAddr, w.Seq, lam, payloadType(w.Payload))
 			}
-			target := n.dispatch(w)
-			if cred != nil {
-				cred.onDelivered(c, target)
-			}
+			cred.onDelivered(c, n.dispatch(w))
 		case FrameGossip:
 			if g := n.cfg.Gossip; g != nil && w.To != "" {
 				n.gossipRecv.Add(1)
@@ -796,30 +694,29 @@ func (n *Node) serveConn(c Conn) {
 	}
 }
 
-// creditState is the receiver half of flow control for one inbound credited
+// creditState is the receiver half of flow control for one inbound
 // connection: it counts delivered messages, remembers which local mailboxes
-// this connection has delivered into, and returns cumulative grants —
-// piggybacked on the message path (batched), forced on heartbeats, and
-// issued by a drain watcher when the window closes mid-burst — as long as
-// the backlog in those mailboxes stays below the window. The mutex covers
-// the read loop, the heartbeat path, and the watcher goroutine.
+// this connection has delivered into, and returns cumulative grants — the
+// hello-ack first, then piggybacked on the message path (batched), forced on
+// heartbeats, and issued by a drain watcher when the window closes
+// mid-burst — as long as the backlog in those mailboxes stays below the
+// window. The mutex covers the read loop and the watcher goroutine.
 type creditState struct {
 	n      *Node
 	window int64
 	closed chan struct{} // closed when the serving read loop exits
 
 	mu        sync.Mutex
-	delivered int64 // FrameMsg received since the connection opened
-	granted   int64 // last cumulative grant sent (starts at window: hello-ack)
+	delivered int64 // FrameMsg received (or known lost) since the connection opened
+	granted   int64 // last cumulative grant sent
 	targets   map[*actors.Ref]struct{}
-	scratch   []byte // grow-only encode buffer for credit frames
+	scratch   []byte // grow-only encode buffer for grant frames
 	watching  bool   // a drain watcher goroutine is live
 }
 
 func newCreditState(n *Node) *creditState {
-	w := int64(n.cfg.CreditWindow)
 	return &creditState{
-		n: n, window: w, granted: w,
+		n: n, window: int64(n.cfg.CreditWindow),
 		targets: map[*actors.Ref]struct{}{},
 		closed:  make(chan struct{}),
 	}
@@ -842,6 +739,17 @@ func (cr *creditState) backlogLocked() int64 {
 	return total
 }
 
+// ack answers the hello with the connection's first grant: a full window
+// past whatever has been delivered (nothing, unless the hello was late).
+func (cr *creditState) ack(c Conn, flags uint8) {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	want := max(cr.granted, cr.delivered+cr.window)
+	if cr.sendLocked(c, FrameHelloAck, flags, want) {
+		cr.n.creditedConns.Add(1)
+	}
+}
+
 // onDelivered records one dispatched message and runs the batched grant
 // path — the per-frame hook on the read loop.
 func (cr *creditState) onDelivered(c Conn, target *actors.Ref) {
@@ -854,12 +762,15 @@ func (cr *creditState) onDelivered(c Conn, target *actors.Ref) {
 	cr.mu.Unlock()
 }
 
-// maybeGrant is the event-driven entry point (heartbeats): force skips the
-// quarter-window batching so a drained backlog is reported even when no
-// messages flow.
-func (cr *creditState) maybeGrant(c Conn, force bool) {
+// onHeartbeat takes the dialer's written-message count: on an ordered
+// connection everything written before the probe has arrived or been lost,
+// so the lost ones count as delivered and stop shrinking the window. It then
+// forces a grant, skipping the quarter-window batching so a drained backlog
+// is reported even when no messages flow.
+func (cr *creditState) onHeartbeat(c Conn, written int64) {
 	cr.mu.Lock()
-	cr.grantLocked(c, force)
+	cr.delivered = max(cr.delivered, written)
+	cr.grantLocked(c, true)
 	cr.mu.Unlock()
 }
 
@@ -871,32 +782,42 @@ func (cr *creditState) maybeGrant(c Conn, force bool) {
 // consumed there may be no further inbound frame to re-run this path — the
 // sender is stalled waiting on us — so a watcher goroutine polls the drain
 // and issues the reopening grant; heartbeats remain the coarse backstop.
+//
+// A forced grant resends the current cumulative grant even when it has not
+// moved, so a lost hello-ack or FrameCredit heals within one heartbeat.
 func (cr *creditState) grantLocked(c Conn, force bool) {
+	want := cr.granted
 	if cr.backlogLocked() >= cr.window {
 		if !cr.watching {
 			cr.watching = true
 			go cr.watchDrain(c)
 		}
-		return
+	} else if w := cr.delivered + cr.window; w > want && (force || w-want >= cr.window/4) {
+		want = w
 	}
-	want := cr.delivered + cr.window
-	if want <= cr.granted {
-		return
+	if want > cr.granted || (force && want > 0) {
+		cr.sendLocked(c, FrameCredit, 0, want)
 	}
-	if !force && want-cr.granted < cr.window/4 {
-		return
-	}
+}
+
+// sendLocked writes one grant frame (hello-ack or credit) for the cumulative
+// grant want and records it; false means the connection is dying, which the
+// reader will notice.
+func (cr *creditState) sendLocked(c Conn, kind FrameKind, flags uint8, want int64) bool {
 	n := cr.n
 	cr.scratch = appendEnvelope(cr.scratch[:0], &WireEnvelope{
-		Kind: FrameCredit, FromAddr: n.addr, Seq: uint64(want),
+		Kind: kind, flags: flags, FromAddr: n.addr, Seq: uint64(want),
 	})
 	if c.Send(cr.scratch) != nil {
-		return // connection dying; the reader will notice
+		return false
 	}
 	n.bytesSent.Add(int64(len(cr.scratch)))
-	n.creditFramesSent.Add(1)
+	if kind == FrameCredit {
+		n.creditFramesSent.Add(1)
+	}
 	n.creditsGranted.Add(want - cr.granted)
 	cr.granted = want
+	return true
 }
 
 // watchDrain polls the tracked mailboxes until they drain below one window,
@@ -929,90 +850,9 @@ func (cr *creditState) watchDrain(c Conn) {
 	}
 }
 
-// staticFrames caches the pre-encoded control frames a node sends over and
-// over — heartbeat, heartbeat-ack, hello-ack — in both wire formats, so a
-// tick or an ack is a lookup instead of a codec round trip. They carry
-// Lamport 0: liveness probes are not causal events, and Observe(0) is a
-// no-op on the receiver.
-type staticFrames struct {
-	hbV1, ackV1      []byte // self-contained codec encoding (nil on encode error)
-	hbV2, ackV2      []byte // v2 binary framing (nil when the codec lacks sessions)
-	helloAck         []byte
-	helloAckCredited []byte // credited grant variant; nil when credits are off
-	helloAckCluster  []byte // v4 variant (gossip granted); nil when gossip is off
-	helloAckTraced   []byte // v5 variant (span migration granted); nil when untraced
-}
-
-func (s *staticFrames) heartbeat(v2 bool) []byte {
-	if v2 && s.hbV2 != nil {
-		return s.hbV2
-	}
-	return s.hbV1
-}
-
-func (s *staticFrames) heartbeatAck(v2 bool) []byte {
-	if v2 && s.ackV2 != nil {
-		return s.ackV2
-	}
-	return s.ackV1
-}
-
-func (n *Node) statics() *staticFrames {
-	n.staticsOnce.Do(func() {
-		s := &staticFrames{}
-		if b, err := n.codec.Encode(&WireEnvelope{Kind: FrameHeartbeat, FromAddr: n.addr}); err == nil {
-			s.hbV1 = b
-		} else {
-			n.encodeErrs.Add(1)
-		}
-		if b, err := n.codec.Encode(&WireEnvelope{Kind: FrameHeartbeatAck, FromAddr: n.addr}); err == nil {
-			s.ackV1 = b
-		} else {
-			n.encodeErrs.Add(1)
-		}
-		if _, ok := n.codec.(sessionCodec); ok {
-			s.hbV2 = appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeat, FromAddr: n.addr})
-			s.ackV2 = appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeatAck, FromAddr: n.addr})
-			s.helloAck = appendEnvelope(nil, &WireEnvelope{Kind: FrameHelloAck, FromAddr: n.addr, CodecVer: codecVerStreaming})
-			if n.creditsOn() {
-				s.helloAckCredited = appendEnvelope(nil, &WireEnvelope{
-					Kind: FrameHelloAck, FromAddr: n.addr,
-					CodecVer: codecVerCredited, Seq: uint64(n.cfg.CreditWindow),
-				})
-			}
-			if n.gossipOn() {
-				// The v4 ack carries the credit window in Seq only when this
-				// node meters; Seq 0 tells the dialer gossip-yes, credits-no.
-				var window uint64
-				if n.creditsOn() {
-					window = uint64(n.cfg.CreditWindow)
-				}
-				s.helloAckCluster = appendEnvelope(nil, &WireEnvelope{
-					Kind: FrameHelloAck, FromAddr: n.addr,
-					CodecVer: codecVerCluster, Seq: window,
-				})
-			}
-			if n.tracedOn() {
-				// Same Seq convention as the v4 ack: the credit window when
-				// this node meters, zero when it does not.
-				var window uint64
-				if n.creditsOn() {
-					window = uint64(n.cfg.CreditWindow)
-				}
-				s.helloAckTraced = appendEnvelope(nil, &WireEnvelope{
-					Kind: FrameHelloAck, FromAddr: n.addr,
-					CodecVer: codecVerTraced, Seq: window,
-				})
-			}
-		}
-		n.staticFr = s
-	})
-	return n.staticFr
-}
-
 // dispatch routes one inbound application frame into the local system,
-// returning the resolved target (nil when it deadlettered) so credited
-// connections can track which mailboxes they feed.
+// returning the resolved target (nil when it deadlettered) so the
+// connection's credit state can track which mailboxes it feeds.
 func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
 	var sender *actors.Ref
 	if w.FromID != 0 && w.FromAddr != "" {
@@ -1030,8 +870,7 @@ func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
 	// Rebuild the migrating span the frame carried: the receiving tracer
 	// adopts the accumulated ledger and the wire stage absorbs everything
 	// since the sender's last mark — outbox wait, encode, flight, decode.
-	// A traced frame landing on a tracerless node (possible after a
-	// reconnect renegotiated down) just drops the ledger.
+	// A traced frame landing on a tracerless node just drops the ledger.
 	var sp *trace.Span
 	if w.traced {
 		if tr := n.sys.Tracer(); tr != nil {

@@ -310,3 +310,65 @@ func TestManyNamesOneLink(t *testing.T) {
 		t.Fatalf("duplicate routing: %v", seen)
 	}
 }
+
+// TestHelloProtocolMismatchRefused dials a node through the raw Transport
+// and speaks the hello by hand: a hello carrying wireProtocol is answered
+// with the hello-ack (the first credit grant), while one carrying any other
+// protocol gets no answer — the receiver counts a decode error and closes
+// the connection.
+func TestHelloProtocolMismatchRefused(t *testing.T) {
+	net := NewMemNetwork()
+	b, err := NewNode(Config{ListenAddr: "B", Transport: net.Endpoint("B"), CreditWindow: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	recv := func(c Conn) ([]byte, error) {
+		type result struct {
+			frame []byte
+			err   error
+		}
+		ch := make(chan result, 1)
+		go func() {
+			f, err := c.Recv()
+			ch <- result{f, err}
+		}()
+		select {
+		case r := <-ch:
+			return r.frame, r.err
+		case <-time.After(5 * time.Second):
+			t.Fatal("connection neither answered nor closed")
+			return nil, nil
+		}
+	}
+	hello := func(protocol uint64) Conn {
+		c, err := net.Endpoint("X").Dial("B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(appendEnvelope(nil, &WireEnvelope{Kind: FrameHello, FromAddr: "X", Seq: protocol})); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	good := hello(wireProtocol)
+	defer good.Close()
+	frame, err := recv(good)
+	if err != nil {
+		t.Fatalf("matching hello: %v", err)
+	}
+	var ack WireEnvelope
+	if _, err := decodeEnvelopeInto(&ack, frame, nil); err != nil || ack.Kind != FrameHelloAck || ack.Seq != 64 {
+		t.Fatalf("matching hello answered with %+v (err %v), want a hello-ack granting 64", ack, err)
+	}
+
+	bad := hello(wireProtocol + 1)
+	defer bad.Close()
+	if frame, err := recv(bad); err == nil {
+		t.Fatalf("mismatched hello answered with %d bytes, want a closed connection", len(frame))
+	}
+	if n := b.Stats().DecodeErrors; n != 1 {
+		t.Fatalf("DecodeErrors = %d after one mismatched hello, want 1", n)
+	}
+}

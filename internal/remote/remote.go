@@ -8,7 +8,7 @@
 // mailbox pointer.
 //
 // A Node owns one listener plus dial-out links to its peers. Links carry
-// length-prefixed frames encoded by a Codec (gob by default), heartbeat
+// length-prefixed frames (a binary header plus a gob payload), heartbeat
 // while idle, and reconnect with jittered exponential backoff when the peer
 // goes away. Sends to an unreachable peer never block: they route to the
 // owning System's deadletter contract (kind actors.DLRemote), which is also
@@ -37,37 +37,37 @@ type FrameKind uint8
 
 const (
 	// FrameHello opens a connection: it announces the dialer's listen
-	// address and seeds the receiver's Lamport clock.
+	// address, seeds the receiver's Lamport clock, and carries wireProtocol
+	// in Seq — any other value makes the receiver refuse the connection.
 	FrameHello FrameKind = iota + 1
 	// FrameMsg carries one application envelope.
 	FrameMsg
 	// FrameHeartbeat probes the link; the peer answers with
-	// FrameHeartbeatAck on the same connection.
+	// FrameHeartbeatAck on the same connection. Its Seq carries the number
+	// of FrameMsg the dialer has written on the connection, so the receiver
+	// can count messages the transport lost as delivered (see link.tick).
 	FrameHeartbeat
 	// FrameHeartbeatAck answers a heartbeat; receiving any frame (ack
 	// included) refreshes the dialer's liveness horizon.
 	FrameHeartbeatAck
-	// FrameHelloAck answers a FrameHello whose CodecVer requested the
-	// streaming wire format, granting it for this connection. Nodes that
-	// predate v2 framing never send one, which is exactly how a streaming
-	// dialer discovers it must stay on self-contained frames.
+	// FrameHelloAck answers a FrameHello. It is the connection's first
+	// credit grant (Seq carries the window), and its frameFlagTraced bit
+	// says whether the receiver can adopt migrating trace spans.
 	FrameHelloAck
 	// FrameCredit returns flow-control credits to the sender: Seq carries
 	// the receiver's cumulative grant (total messages the sender may have
 	// sent on this connection since it opened). Grants only ever travel
-	// ack-direction (receiver → dialer), only on connections whose hello
-	// negotiated codecVerCredited, and are cumulative so a lost credit
-	// frame is healed by the next one. Peers that predate credits never
-	// send or receive one.
+	// ack-direction (receiver → dialer) and are cumulative, so a lost
+	// credit frame is healed by the next one.
 	FrameCredit
 	// FrameGossip piggybacks a cluster-membership digest on the heartbeat
-	// cadence (internal/cluster): each heartbeat tick on a dial-out link
-	// whose hello negotiated codecVerCluster may carry one. The digest
-	// travels as opaque bytes in the To header field — not in Payload — so
-	// gossip frames stay self-contained: a dropped digest never
-	// desynchronizes the streaming payload session, and the next tick's
-	// digest supersedes it (gossip state is convergent, not incremental).
-	// Peers that predate clustering never negotiate v4 and never see one.
+	// cadence (internal/cluster): each heartbeat tick on a dial-out link of
+	// a node with a GossipHook carries one. The digest travels as opaque
+	// bytes in the To header field — not in Payload — so gossip frames stay
+	// self-contained: a dropped digest never desynchronizes the streaming
+	// payload session, and the next tick's digest supersedes it (gossip
+	// state is convergent, not incremental). A node without a hook ignores
+	// them.
 	FrameGossip
 )
 
@@ -92,18 +92,14 @@ func (k FrameKind) String() string {
 	}
 }
 
-// WireEnvelope is the unit a Codec encodes into one frame. Application
-// payloads travel in Payload and must be registered with the codec (see
-// RegisterType for the gob default).
+// WireEnvelope is the unit encoded into one frame. Application payloads
+// travel in Payload and must be registered with RegisterType.
 type WireEnvelope struct {
 	Kind FrameKind
 
-	// CodecVer negotiates the wire format: a dialer whose codec supports
-	// streaming sessions advertises codecVerStreaming in its FrameHello,
-	// and the receiver echoes it in FrameHelloAck to grant the upgrade.
-	// Zero everywhere else (and everywhere on pre-v2 nodes, whose gob
-	// decoders simply never see the field).
-	CodecVer uint8
+	// flags holds the header's frameFlag* bits. frameFlagTraced is derived
+	// from span on encode and stripped on decode; the others travel as set.
+	flags uint8
 
 	// Addressing: To names a recipient in the receiving node's registry;
 	// ToID addresses a specific actor by raw ID (reply routing). Exactly
@@ -121,10 +117,10 @@ type WireEnvelope struct {
 
 	// Seq is the sending node's outbound frame sequence number, Lamport
 	// the logical timestamp (tick-on-send). Together they let two nodes'
-	// wire logs be matched pairwise and merged causally. Flow control
-	// overloads the field on its own frames: FrameCredit (and a credited
-	// FrameHelloAck) carry the receiver's cumulative credit grant in Seq,
-	// so credits ride the existing header with no layout change.
+	// wire logs be matched pairwise and merged causally. Control frames
+	// reuse Seq for their one number: the protocol on FrameHello, the
+	// cumulative credit grant on FrameHelloAck and FrameCredit, the
+	// written-message count on FrameHeartbeat.
 	Seq     uint64
 	Lamport uint64
 
@@ -140,12 +136,9 @@ type WireEnvelope struct {
 	Payload any
 
 	// span is the in-flight distributed trace span migrating with this
-	// envelope, if the message is sampled and the connection negotiated
-	// codecVerTraced. Unexported on purpose: the v1 gob codec reflects only
-	// exported fields, so pre-trace peers never see it — traced nodes talk
-	// to them with spans sealed at the wire boundary instead. The binary
-	// codec carries it explicitly (wirecodec.go) when the frame's traced
-	// flag bit is set.
+	// envelope, if the message is sampled. The link writer serializes it
+	// (wirecodec.go, behind frameFlagTraced) when the peer's hello-ack
+	// said it adopts spans, and seals it at the wire boundary otherwise.
 	span *trace.Span
 
 	// Inbound side of the migration: the binary decoder parses the span

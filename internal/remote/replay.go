@@ -432,28 +432,17 @@ func contentHash(name string, id uint64, payload any) uint64 {
 	return sum
 }
 
-// msgFrameInfo classifies one frame and extracts its content fingerprint:
-// (true, content) for application messages, (false, 0) for control traffic.
-// v2 frames are parsed from their binary header; untagged frames fall back
-// to a self-contained gob decode (negotiation and v1 peers). Undecodable
-// frames are treated as control traffic and pass unscheduled.
+// msgFrameInfo classifies one frame by its header and extracts its content
+// fingerprint: (true, content) for application messages, (false, 0) for
+// control traffic. A message whose header does not parse yields content 0
+// and is scheduled content-blind.
 func msgFrameInfo(frame []byte) (bool, uint64) {
-	if len(frame) == 0 {
+	if len(frame) == 0 || FrameKind(frame[0]) != FrameMsg {
 		return false, 0
 	}
-	if frame[0] == frameTagBinary {
-		if len(frame) > 1 && FrameKind(frame[1]) == FrameMsg {
-			var w WireEnvelope
-			if _, err := decodeEnvelopeInto(&w, frame, nil); err == nil {
-				return true, w.Content
-			}
-			return true, 0
-		}
-		return false, 0
-	}
-	w, err := GobCodec{}.Decode(frame)
-	if err != nil || w.Kind != FrameMsg {
-		return false, 0
+	var w WireEnvelope
+	if _, err := decodeEnvelopeInto(&w, frame, nil); err != nil {
+		return true, 0
 	}
 	return true, w.Content
 }

@@ -241,29 +241,31 @@ func TestReplayerGate(t *testing.T) {
 	}
 }
 
-// TestIsMsgFrame pins the frame classifier across both wire formats.
+// TestIsMsgFrame pins the frame classifier across both payload modes: it
+// reads only the binary header, so a self-contained message frame (what
+// record/replay traffic carries) classifies and yields its content stamp
+// exactly like a session frame.
 func TestIsMsgFrame(t *testing.T) {
-	v2msg := appendEnvelope(nil, &WireEnvelope{Kind: FrameMsg, To: "x"})
-	if !isMsgFrame(v2msg) {
-		t.Fatal("v2 FrameMsg not classified as a message")
+	msg := appendEnvelope(nil, &WireEnvelope{Kind: FrameMsg, To: "x"})
+	if !isMsgFrame(msg) {
+		t.Fatal("FrameMsg not classified as a message")
 	}
-	v2hb := appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeat})
-	if isMsgFrame(v2hb) {
-		t.Fatal("v2 heartbeat classified as a message")
+	hb := appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeat})
+	if isMsgFrame(hb) {
+		t.Fatal("heartbeat classified as a message")
 	}
-	gobMsg, err := GobCodec{}.Encode(&WireEnvelope{Kind: FrameMsg, To: "x", Payload: tPing{N: 1}})
+	selfMsg, err := newEncSession().appendFrame(nil, &WireEnvelope{
+		Kind: FrameMsg, flags: frameFlagSelfContained, To: "x", Content: 77, Payload: tPing{N: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !isMsgFrame(gobMsg) {
-		t.Fatal("gob FrameMsg not classified as a message")
+	if ok, content := msgFrameInfo(selfMsg); !ok || content != 77 {
+		t.Fatalf("self-contained FrameMsg classified as (%v, %d), want (true, 77)", ok, content)
 	}
-	gobHello, err := GobCodec{}.Encode(&WireEnvelope{Kind: FrameHello})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if isMsgFrame(gobHello) {
-		t.Fatal("gob hello classified as a message")
+	hello := appendEnvelope(nil, &WireEnvelope{Kind: FrameHello, Seq: wireProtocol})
+	if isMsgFrame(hello) {
+		t.Fatal("hello classified as a message")
 	}
 	if isMsgFrame(nil) || isMsgFrame([]byte{0x01, 0x02, 0x03}) {
 		t.Fatal("garbage classified as a message")

@@ -7,49 +7,34 @@ import (
 	"io"
 )
 
-// StreamCodec is the default codec: the v2 wire format. Control and
-// negotiation frames (hello, hello-ack, and everything sent before the peer
-// grants streaming) use the embedded self-contained gob encoding, byte-for-
-// byte identical to GobCodec, so a StreamCodec node interoperates with a
-// GobCodec one. Once both ends have agreed on codecVerStreaming via the
-// hello/hello-ack exchange, each link direction runs one long-lived
-// encoder/decoder session: the fixed envelope header goes through the
-// hand-rolled binary codec (wirecodec.go) and only the payload goes through
-// gob — a *streaming* gob, so type descriptors cross the wire once per
-// connection instead of once per frame.
+// Payload encoding. A FrameMsg's header (wirecodec.go) is followed by its
+// payload in gob, which names concrete types and so carries arbitrary
+// registered messages. Each connection direction runs one long-lived
+// encoder/decoder session — a *streaming* gob, so type descriptors cross
+// the wire once per connection instead of once per frame.
 //
-// The price of streaming is that a session's frames are no longer
-// independent: a frame lost in flight can take a later frame's type
-// descriptors with it. The link layer therefore tears the connection down
-// on any session decode error and renegotiates a fresh session pair on
-// reconnect — which is the honest semantics anyway, since an ordered
-// transport that lost a frame has lost the ordering promise the session
-// was built on.
-type StreamCodec struct {
-	GobCodec // self-contained fallback for negotiation and v1 peers
-}
+// The price of streaming is that a session's frames are not independent: a
+// frame lost in flight can take a later frame's type descriptors with it.
+// The link layer therefore tears the connection down on any session decode
+// error and starts a fresh session pair on reconnect — which is the honest
+// semantics anyway, since an ordered transport that lost a frame has lost
+// the ordering promise the session was built on. Frames flagged
+// frameFlagSelfContained bypass the session and decode in isolation.
 
-// NewStreamCodec returns the streaming codec. The zero value is also ready
-// to use; the constructor exists to make call sites read well.
-func NewStreamCodec() *StreamCodec { return &StreamCodec{} }
+// RegisterType registers a payload's concrete type with gob. Call it from an
+// init function in the package that defines the protocol messages;
+// registration is global and idempotent for a given type/name. An
+// unregistered payload fails at encode on the sender, never partway across
+// the wire.
+func RegisterType(v any) { gob.Register(v) }
 
-// sessionCodec is the capability a Codec implements to opt into per-link
-// streaming sessions. Nodes probe their configured codec for it when
-// negotiating: a codec without it (GobCodec) keeps the self-contained v1
-// wire format on every connection.
-type sessionCodec interface {
-	Codec
-	newEncSession() *encSession
-	newDecSession() *decSession
-}
-
-func (*StreamCodec) newEncSession() *encSession {
+func newEncSession() *encSession {
 	s := &encSession{}
 	s.enc = gob.NewEncoder(&s.buf)
 	return s
 }
 
-func (*StreamCodec) newDecSession() *decSession {
+func newDecSession() *decSession {
 	s := &decSession{}
 	s.dec = gob.NewDecoder(&s.chunk)
 	return s
@@ -63,18 +48,23 @@ type encSession struct {
 	slot any // reused interface cell so Encode(&slot) never heap-escapes
 }
 
-// appendFrame appends the complete v2 frame for w to buf: binary header,
-// then (for FrameMsg) the payload bytes the session's gob encoder produced.
-// An error poisons the session — gob may have recorded a descriptor it
-// never finished writing — so the caller must tear the connection down.
+// appendFrame appends the complete frame for w to buf: binary header, then
+// (for FrameMsg) the payload bytes — from the session's gob encoder, or from
+// a fresh one when w is flagged self-contained. An error on a session frame
+// poisons the session — gob may have recorded a descriptor it never finished
+// writing — so the caller must tear the connection down.
 func (s *encSession) appendFrame(buf []byte, w *WireEnvelope) ([]byte, error) {
 	buf = appendEnvelope(buf, w)
 	if w.Kind != FrameMsg {
 		return buf, nil
 	}
 	s.buf.Reset()
+	enc := s.enc
+	if w.flags&frameFlagSelfContained != 0 {
+		enc = gob.NewEncoder(&s.buf)
+	}
 	s.slot = w.Payload
-	err := s.enc.Encode(&s.slot)
+	err := enc.Encode(&s.slot)
 	s.slot = nil
 	if err != nil {
 		return nil, err
@@ -90,7 +80,7 @@ type decSession struct {
 	intern internTable
 }
 
-// decodeFrame parses one v2 frame into w. The payload section must contain
+// decodeFrame parses one frame into w. The payload section must contain
 // exactly the gob messages for one value; leftover or missing bytes mean
 // the stream is desynchronized (typically a frame was lost in flight) and
 // the caller must tear the connection down.
@@ -106,10 +96,14 @@ func (s *decSession) decodeFrame(frame []byte, w *WireEnvelope) error {
 		return nil
 	}
 	s.chunk.rest = frame[n:]
+	dec := s.dec
+	if w.flags&frameFlagSelfContained != 0 {
+		dec = gob.NewDecoder(&s.chunk)
+	}
 	var payload any
-	if err := s.dec.Decode(&payload); err != nil {
+	if err := dec.Decode(&payload); err != nil {
 		s.chunk.rest = nil
-		return fmt.Errorf("remote: payload session decode: %w", err)
+		return fmt.Errorf("remote: payload decode: %w", err)
 	}
 	if len(s.chunk.rest) != 0 {
 		return fmt.Errorf("remote: %d trailing payload bytes", len(s.chunk.rest))
@@ -118,9 +112,9 @@ func (s *decSession) decodeFrame(frame []byte, w *WireEnvelope) error {
 	return nil
 }
 
-// chunkReader feeds one frame's payload section to the session's gob
-// decoder. gob copies what it reads into its own buffers, so the frame can
-// be recycled as soon as Decode returns.
+// chunkReader feeds one frame's payload section to a gob decoder. gob copies
+// what it reads into its own buffers, so the frame can be recycled as soon
+// as Decode returns.
 type chunkReader struct {
 	rest []byte
 }

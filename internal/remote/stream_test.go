@@ -12,8 +12,7 @@ import (
 // payload survives, including after the first frame has paid the type
 // descriptor cost.
 func TestStreamSessionRoundTrip(t *testing.T) {
-	c := NewStreamCodec()
-	enc, dec := c.newEncSession(), c.newDecSession()
+	enc, dec := newEncSession(), newDecSession()
 	var buf []byte
 	for i := 0; i < 50; i++ {
 		w := &WireEnvelope{
@@ -41,8 +40,7 @@ func TestStreamSessionRoundTrip(t *testing.T) {
 // TestStreamSessionControlFrames checks non-message frames carry no payload
 // section and reject trailing garbage.
 func TestStreamSessionControlFrames(t *testing.T) {
-	c := NewStreamCodec()
-	dec := c.newDecSession()
+	dec := newDecSession()
 	frame := appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeat, FromAddr: "a"})
 	var got WireEnvelope
 	if err := dec.decodeFrame(frame, &got); err != nil {
@@ -60,8 +58,7 @@ func TestStreamSessionControlFrames(t *testing.T) {
 // was cut short errors (the session is then torn down by the link layer)
 // instead of blocking or panicking.
 func TestStreamSessionTruncatedPayload(t *testing.T) {
-	c := NewStreamCodec()
-	enc, dec := c.newEncSession(), c.newDecSession()
+	enc, dec := newEncSession(), newDecSession()
 	w := &WireEnvelope{Kind: FrameMsg, To: "sink", Payload: tPing{N: 42}}
 	frame, err := enc.appendFrame(nil, w)
 	if err != nil {
@@ -73,39 +70,64 @@ func TestStreamSessionTruncatedPayload(t *testing.T) {
 	}
 }
 
-// TestCodecInterop runs every pairing of the streaming codec and the legacy
-// self-contained GobCodec across a live two-node exchange, in both
-// directions (Tell request, Ask reply), plus a credited node against a
-// streaming-but-uncredited peer. Streaming must engage exactly when both
-// ends support it, credits exactly when both ends are credited, and every
-// pairing must deliver.
-func TestCodecInterop(t *testing.T) {
-	cases := []struct {
-		name           string
-		codecA, codecB func() Codec
-		creditB        int // 0 = default (on); <0 disables credits on B
-		wantStream     bool
-		wantCredit     bool
-	}{
-		{"stream-stream", func() Codec { return NewStreamCodec() }, func() Codec { return NewStreamCodec() }, 0, true, true},
-		{"stream-gob", func() Codec { return NewStreamCodec() }, func() Codec { return GobCodec{} }, 0, false, false},
-		{"gob-stream", func() Codec { return GobCodec{} }, func() Codec { return NewStreamCodec() }, 0, false, false},
-		{"gob-gob", func() Codec { return GobCodec{} }, func() Codec { return GobCodec{} }, 0, false, false},
-		// A credited dialer against a PR5-era peer (streaming, no credits):
-		// B's hello-ack echoes codecVerStreaming, so A runs the connection
-		// streaming-but-unmetered. Interop, not degradation.
-		{"credited-uncredited", func() Codec { return NewStreamCodec() }, func() Codec { return NewStreamCodec() }, -1, true, false},
+// TestStreamSessionSelfContainedFrames interleaves self-contained frames
+// (fresh gob encoder per payload) with session frames on one enc/dec pair:
+// each self-contained frame decodes in isolation — on a fresh session, or
+// out of order — and never disturbs the streaming session around it.
+func TestStreamSessionSelfContainedFrames(t *testing.T) {
+	enc, dec := newEncSession(), newDecSession()
+	var frames [][]byte
+	for i := 0; i < 6; i++ {
+		w := &WireEnvelope{Kind: FrameMsg, To: "sink", Payload: tPing{N: i}}
+		if i%2 == 1 {
+			w.flags = frameFlagSelfContained
+		}
+		frame, err := enc.appendFrame(nil, w)
+		if err != nil {
+			t.Fatalf("frame %d: encode: %v", i, err)
+		}
+		frames = append(frames, frame)
 	}
-	for _, tc := range cases {
+	decode := func(d *decSession, i int) {
+		t.Helper()
+		var got WireEnvelope
+		if err := d.decodeFrame(frames[i], &got); err != nil {
+			t.Fatalf("frame %d: decode: %v", i, err)
+		}
+		if p, ok := got.Payload.(tPing); !ok || p.N != i {
+			t.Fatalf("frame %d: payload = %#v", i, got.Payload)
+		}
+	}
+	// Self-contained frames first and backwards, each on a fresh session.
+	for _, i := range []int{5, 3, 1} {
+		decode(newDecSession(), i)
+	}
+	// Then the whole sequence in order on the live session.
+	for i := range frames {
+		decode(dec, i)
+	}
+}
+
+// TestCodecInterop runs a live two-node exchange in both directions (Tell
+// request, Ask reply) with each payload mode of the one wire protocol: the
+// streaming session, and self-contained frames (forced by recording the
+// network, as record/replay does). Every ask must round trip, and both ends
+// must have completed the hello/hello-ack exchange that opens the credit
+// window.
+func TestCodecInterop(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		record bool
+	}{
+		{"stream-stream", false},
+		{"selfcontained-selfcontained", true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a, b, _ := twoMemNodes(t, func(c *Config) {
-				if c.ListenAddr == "A" {
-					c.Codec = tc.codecA()
-				} else {
-					c.Codec = tc.codecB()
-					c.CreditWindow = tc.creditB
-				}
-			})
+			a, b, net := twoMemNodes(t, nil)
+			var rec *WireRecording
+			if tc.record {
+				rec = net.Record(1)
+			}
 			echo := b.System().MustSpawn("echo", func(ctx *actors.Context, msg any) {
 				if p, ok := msg.(tPing); ok {
 					ctx.Reply(tPong{N: p.N})
@@ -116,9 +138,6 @@ func TestCodecInterop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Asks exercise both wire directions; run enough of them that a
-			// streaming pair has crossed its hello/hello-ack upgrade on both
-			// links (the upgrade lands on the first write after the ack).
 			for i := 0; i < 50; i++ {
 				reply, err := actors.Ask(a.System(), ref, tPing{N: i}, 5*time.Second)
 				if err != nil {
@@ -128,40 +147,31 @@ func TestCodecInterop(t *testing.T) {
 					t.Fatalf("ask %d: reply = %#v", i, reply)
 				}
 			}
-			if tc.wantStream {
-				deadline := time.Now().Add(5 * time.Second)
-				for a.Stats().StreamingConns == 0 || b.Stats().StreamingConns == 0 {
-					if time.Now().After(deadline) {
-						t.Fatalf("streaming never engaged: a=%d b=%d",
-							a.Stats().StreamingConns, b.Stats().StreamingConns)
-					}
-					ref.Tell(tPing{N: -1})
-					time.Sleep(time.Millisecond)
-				}
-			} else if sc := a.Stats().StreamingConns + b.Stats().StreamingConns; sc != 0 {
-				t.Fatalf("streaming engaged on a mixed/legacy pairing (%d conns)", sc)
+			if a.Stats().CreditedConns == 0 || b.Stats().CreditedConns == 0 {
+				t.Fatalf("hello-ack never opened the window: a=%d b=%d",
+					a.Stats().CreditedConns, b.Stats().CreditedConns)
 			}
-			if tc.wantCredit {
-				deadline := time.Now().Add(5 * time.Second)
-				for a.Stats().CreditedConns == 0 || b.Stats().CreditedConns == 0 {
-					if time.Now().After(deadline) {
-						t.Fatalf("credits never engaged: a=%d b=%d",
-							a.Stats().CreditedConns, b.Stats().CreditedConns)
-					}
-					ref.Tell(tPing{N: -1})
-					time.Sleep(time.Millisecond)
+			if tc.record {
+				// Every recorded message carried a content fingerprint,
+				// the stamp that makes its frame self-contained.
+				snap := rec.Snapshot()
+				if len(snap.Entries) < 100 {
+					t.Fatalf("recorded %d message frames, want ≥ 100", len(snap.Entries))
 				}
-			} else if cc := a.Stats().CreditedConns + b.Stats().CreditedConns; cc != 0 {
-				t.Fatalf("credits engaged on an uncredited pairing (%d conns)", cc)
+				for i, e := range snap.Entries {
+					if e.Content == 0 {
+						t.Fatalf("recorded frame %d carries no content fingerprint", i)
+					}
+				}
 			}
 		})
 	}
 }
 
 // TestStreamingSurvivesReconnect tears a streaming link down by closing the
-// peer node, restarts the listener, and checks the link renegotiates a fresh
-// session pair that still delivers — the failure-handling story for a
-// stateful wire format.
+// peer node, restarts the listener, and checks the link starts a fresh
+// session pair (a new hello/hello-ack exchange) that still delivers — the
+// failure-handling story for a stateful wire format.
 func TestStreamingSurvivesReconnect(t *testing.T) {
 	net := NewMemNetwork()
 	mkCfg := func(addr string) Config {
@@ -219,13 +229,12 @@ func TestStreamingSurvivesReconnect(t *testing.T) {
 		}
 	}
 	send(1)
-	// Make sure the first connection actually upgraded before killing it —
-	// the first message can legitimately travel self-contained while the
-	// hello-ack is still in flight.
+	// Make sure the first connection's hello-ack has landed before killing
+	// it.
 	firstUp := time.Now().Add(5 * time.Second)
-	for a.Stats().StreamingConns == 0 {
+	for a.Stats().CreditedConns == 0 {
 		if time.Now().After(firstUp) {
-			t.Fatal("first connection never upgraded to streaming")
+			t.Fatal("first connection never received its hello-ack")
 		}
 		ref.Tell(tPing{N: 1})
 		time.Sleep(time.Millisecond)
@@ -233,7 +242,7 @@ func TestStreamingSurvivesReconnect(t *testing.T) {
 
 	// Kill B entirely (listener + connections), then bring up a fresh node
 	// on the same address: the old streaming session is unusable and the
-	// link must renegotiate from scratch.
+	// link must start over from a fresh hello.
 	b.Close()
 	b2, err := NewNode(mkCfg("B"))
 	if err != nil {
@@ -243,12 +252,10 @@ func TestStreamingSurvivesReconnect(t *testing.T) {
 	serveSink(b2)
 	send(2)
 
-	// The upgrade lands on A's first write after the new hello-ack, which
-	// may trail the first delivered message slightly; poll for it.
 	deadline := time.Now().Add(5 * time.Second)
-	for a.Stats().StreamingConns < 2 {
+	for a.Stats().CreditedConns < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("expected a fresh streaming upgrade after reconnect, got %d", a.Stats().StreamingConns)
+			t.Fatalf("expected a fresh hello-ack after reconnect, got %d", a.Stats().CreditedConns)
 		}
 		ref.Tell(tPing{N: 3})
 		time.Sleep(time.Millisecond)

@@ -8,36 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// traceRungs are the codec-negotiation rungs the trace-context interop
-// matrix runs over: the v1 self-contained gob codec, plain v2 streaming,
-// v3 credited streaming, and v4 cluster (gossip) streaming. Trace spans
-// only ever cross the wire when BOTH ends run a sessionCodec AND both have
-// a Tracer (v5); every other pairing must carry envelopes byte-identically
-// to a pre-trace build.
-type traceRung struct {
-	name   string
-	config func(c *Config) // codec + capability knobs, applied to both nodes
-}
-
-func traceInteropRungs() []traceRung {
-	return []traceRung{
-		{"v1-gob", func(c *Config) {
-			c.Codec = GobCodec{}
-		}},
-		{"v2-stream", func(c *Config) {
-			c.Codec = NewStreamCodec()
-			c.CreditWindow = -1 // streaming only, no credits
-		}},
-		{"v3-credited", func(c *Config) {
-			c.Codec = NewStreamCodec()
-		}},
-		{"v4-cluster", func(c *Config) {
-			c.Codec = NewStreamCodec()
-			c.Gossip = newChatterHook(c.ListenAddr)
-		}},
-	}
-}
-
 // traceNodeSystem builds an actor system for one side of the matrix,
 // traced (sampling every message) or not.
 func traceNodeSystem(addr string, traced bool) (*actors.System, *trace.Tracer) {
@@ -49,12 +19,12 @@ func traceNodeSystem(addr string, traced bool) (*actors.System, *trace.Tracer) {
 	return actors.NewSystem(actors.Config{Tracer: tr}), tr
 }
 
-// TestTraceInteropMatrix runs traced and untraced peers against each other
-// across every negotiation rung. In every pairing all payloads must round
-// trip unchanged and the link must stay in sync (a mis-negotiated span
-// section would desync the streaming decoder and kill the connection, so
-// sustained delivery IS the header-integrity assertion). Span migration
-// must happen exactly when both ends are traced and the codec is v2+.
+// TestTraceInteropMatrix runs traced and untraced peers against each other.
+// In every pairing all payloads must round trip unchanged and the link must
+// stay in sync (a misplaced span section would desync the streaming decoder
+// and kill the connection, so sustained delivery IS the header-integrity
+// assertion). Span migration must happen exactly when both ends are traced:
+// the hello-ack's traced flag is the only per-node capability left.
 func TestTraceInteropMatrix(t *testing.T) {
 	pairs := []struct {
 		name             string
@@ -64,93 +34,87 @@ func TestTraceInteropMatrix(t *testing.T) {
 		{"untraced-traced", false, true},
 		{"traced-traced", true, true},
 	}
-	for _, rung := range traceInteropRungs() {
-		for _, pair := range pairs {
-			t.Run(rung.name+"/"+pair.name, func(t *testing.T) {
-				var trA, trB *trace.Tracer
-				a, b, _ := twoMemNodes(t, func(c *Config) {
-					rung.config(c)
-					if c.ListenAddr == "A" {
-						c.System, trA = traceNodeSystem("A", pair.tracedA)
-					} else {
-						c.System, trB = traceNodeSystem("B", pair.tracedB)
-					}
-				})
-				echo := b.System().MustSpawn("echo", func(ctx *actors.Context, msg any) {
-					if p, ok := msg.(tPing); ok {
-						ctx.Reply(tPong{N: p.N})
-					}
-				})
-				b.Register("echo", echo)
-				ref, err := a.RefFor("echo@B")
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Enough round trips that the streaming upgrade (and the v5
-				// traced ack, where negotiated) has landed on both links and
-				// dozens of envelopes have crossed each way after it.
-				for i := 0; i < 60; i++ {
-					reply, err := actors.Ask(a.System(), ref, tPing{N: i}, 5*time.Second)
-					if err != nil {
-						t.Fatalf("ask %d: %v", i, err)
-					}
-					if p, ok := reply.(tPong); !ok || p.N != i {
-						t.Fatalf("ask %d: reply = %#v, want tPong{%d}", i, reply, i)
-					}
-				}
-
-				wantMigration := pair.tracedA && pair.tracedB && rung.name != "v1-gob"
-				if wantMigration {
-					// The request span must have migrated: it finishes on B
-					// (the echo handler's node) carrying wire-stage time,
-					// and the same (Trace, ID) must NOT also finish on A —
-					// the span moves, it does not fork.
-					deadline := time.Now().Add(5 * time.Second)
-					for {
-						if hasMigratedSpan(trB, "B") {
-							break
-						}
-						if time.Now().After(deadline) {
-							t.Fatalf("no migrated span reached B's ring: %d spans", len(trB.Spans()))
-						}
-						time.Sleep(time.Millisecond)
-					}
-					seen := map[[2]uint64]string{}
-					for _, sv := range append(trA.Spans(), trB.Spans()...) {
-						key := [2]uint64{sv.Trace, sv.ID}
-						if prev, dup := seen[key]; dup && prev != sv.Node {
-							t.Fatalf("span %016x/%x finished on both %s and %s (forked, not migrated)",
-								sv.Trace, sv.ID, prev, sv.Node)
-						}
-						seen[key] = sv.Node
-					}
+	for _, pair := range pairs {
+		t.Run(pair.name, func(t *testing.T) {
+			var trA, trB *trace.Tracer
+			a, b, _ := twoMemNodes(t, func(c *Config) {
+				if c.ListenAddr == "A" {
+					c.System, trA = traceNodeSystem("A", pair.tracedA)
 				} else {
-					// No pairing without mutual v5 may leak a span across:
-					// every finished span sits in the ring of the node that
-					// originated it, stamped with that node's own name.
-					for name, tr := range map[string]*trace.Tracer{"A": trA, "B": trB} {
-						if tr == nil {
-							continue
-						}
-						if len(tr.Spans()) == 0 && name == "A" && pair.tracedA {
-							t.Fatalf("traced sender %s collected no spans at all", name)
-						}
-						for _, sv := range tr.Spans() {
-							if sv.Node != name {
-								t.Fatalf("span %016x/%x in %s's ring carries node %q — crossed a non-v5 link",
-									sv.Trace, sv.ID, name, sv.Node)
-							}
-						}
-					}
+					c.System, trB = traceNodeSystem("B", pair.tracedB)
 				}
 			})
-		}
+			echo := b.System().MustSpawn("echo", func(ctx *actors.Context, msg any) {
+				if p, ok := msg.(tPing); ok {
+					ctx.Reply(tPong{N: p.N})
+				}
+			})
+			b.Register("echo", echo)
+			ref, err := a.RefFor("echo@B")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Dozens of envelopes cross each way after the hello-acks.
+			for i := 0; i < 60; i++ {
+				reply, err := actors.Ask(a.System(), ref, tPing{N: i}, 5*time.Second)
+				if err != nil {
+					t.Fatalf("ask %d: %v", i, err)
+				}
+				if p, ok := reply.(tPong); !ok || p.N != i {
+					t.Fatalf("ask %d: reply = %#v, want tPong{%d}", i, reply, i)
+				}
+			}
+
+			if pair.tracedA && pair.tracedB {
+				// The request span must have migrated: it finishes on B
+				// (the echo handler's node) carrying wire-stage time,
+				// and the same (Trace, ID) must NOT also finish on A —
+				// the span moves, it does not fork.
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					if hasMigratedSpan(trB, "B") {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("no migrated span reached B's ring: %d spans", len(trB.Spans()))
+					}
+					time.Sleep(time.Millisecond)
+				}
+				seen := map[[2]uint64]string{}
+				for _, sv := range append(trA.Spans(), trB.Spans()...) {
+					key := [2]uint64{sv.Trace, sv.ID}
+					if prev, dup := seen[key]; dup && prev != sv.Node {
+						t.Fatalf("span %016x/%x finished on both %s and %s (forked, not migrated)",
+							sv.Trace, sv.ID, prev, sv.Node)
+					}
+					seen[key] = sv.Node
+				}
+			} else {
+				// No pairing with an untraced end may leak a span across:
+				// every finished span sits in the ring of the node that
+				// originated it, stamped with that node's own name.
+				for name, tr := range map[string]*trace.Tracer{"A": trA, "B": trB} {
+					if tr == nil {
+						continue
+					}
+					if len(tr.Spans()) == 0 && name == "A" && pair.tracedA {
+						t.Fatalf("traced sender %s collected no spans at all", name)
+					}
+					for _, sv := range tr.Spans() {
+						if sv.Node != name {
+							t.Fatalf("span %016x/%x in %s's ring carries node %q — crossed to an untraced peer",
+								sv.Trace, sv.ID, name, sv.Node)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
 // hasMigratedSpan reports whether tr's ring holds a span that finished on
 // node (Adopt stamps the receiving node) with wire-stage time — the
-// signature of a span that crossed a v5 link inside an envelope.
+// signature of a span that crossed the wire inside an envelope.
 func hasMigratedSpan(tr *trace.Tracer, node string) bool {
 	for _, sv := range tr.Spans() {
 		if sv.Node == node && sv.Stages[trace.StageWire] > 0 && sv.Dead == "" {

@@ -9,7 +9,7 @@ var ErrClosed = errors.New("remote: connection closed")
 // Transport abstracts how frames move between nodes. Two implementations
 // ship: TCPTransport (length-prefixed frames over real sockets) and
 // MemNetwork endpoints (in-process channels, deterministic fault injection).
-// A frame is an opaque []byte produced by a Codec; transports never look
+// A frame is an opaque []byte produced by the node; transports never look
 // inside it.
 type Transport interface {
 	// Listen binds addr and returns a listener for inbound connections.

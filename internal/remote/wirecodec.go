@@ -8,85 +8,51 @@ import (
 	"repro/internal/trace"
 )
 
-// v2 framing: the hand-rolled binary codec for the fixed envelope header.
+// The frame header: one hand-rolled binary layout for every frame a
+// connection carries, the hello included.
 //
-// A v2 frame is self-describing at the byte level:
-//
-//	[0]     frameTagBinary (0xB2)
-//	[1]     Kind
-//	[2]     CodecVer
+//	[0]     Kind
+//	[1]     flags (frameFlag* bits)
 //	uvarint ToID, FromID, Seq, Lamport, Content
 //	string  To, FromAddr, FromName   (uvarint length + bytes each)
-//	...     payload bytes            (FrameMsg only; a streaming gob session)
+//	...     span ledger              (FrameMsg with frameFlagTraced only)
+//	...     payload bytes            (FrameMsg only; gob, see stream.go)
 //
-// The tag byte doubles as the codec-negotiation discriminator on a mixed
-// connection: 0xB2 can never begin a self-contained gob frame, because a gob
-// message starts with its length prefix, which is either a single byte
-// < 0x80 or a negated byte count in 0xF8..0xFF. A receiver that has granted
-// streaming (sent FrameHelloAck) therefore routes each inbound frame by its
-// first byte — tagged frames through the link's decode session, untagged
-// ones through the self-contained fallback codec — with no ambiguity and no
-// per-connection mode handshake beyond the hello/ack pair.
-const frameTagBinary = 0xB2
+// There is no version negotiation: every node runs this package, so the
+// dialer's FrameHello carries wireProtocol in Seq and a receiver that sees
+// anything else refuses the connection. Bump it on any incompatible change
+// to the framing.
+const wireProtocol = 6
 
-// codecVerStreaming is the wire version advertised in FrameHello.CodecVer by
-// nodes whose codec supports per-link streaming sessions, and echoed in
-// FrameHelloAck when the receiver grants it. Version 0 (the zero value old
-// nodes send) means self-contained frames only.
-const codecVerStreaming = 2
+// Frame flag bits (header byte 1).
+const (
+	// frameFlagTraced on a FrameMsg means the header is followed by a
+	// trace.WireSpan (the migrating span ledger); on a FrameHelloAck it
+	// means the receiver has a tracer to adopt spans into. An untraced
+	// message pays zero extra bytes.
+	frameFlagTraced = 0x01
+	// frameFlagSelfContained on a FrameMsg means its payload was encoded by
+	// a fresh gob encoder rather than the connection's streaming session,
+	// so the frame decodes in isolation. Senders set it while the transport
+	// stamps content fingerprints (record/replay), whose replayer reorders
+	// frames.
+	frameFlagSelfContained = 0x02
 
-// codecVerCredited is the wire version advertised by nodes that also speak
-// credit-based flow control (FrameCredit). It implies streaming: receivers
-// that only know codecVerStreaming grant the upgrade with `>= 2` and echo 2,
-// which is exactly how a credited dialer discovers its peer is uncredited —
-// the connection runs streaming-but-unmetered, interop-safe both ways. A
-// receiver that echoes codecVerCredited carries its initial window grant in
-// the hello-ack's Seq field.
-const codecVerCredited = 3
-
-// codecVerCluster is the wire version advertised by nodes participating in
-// cluster membership (internal/cluster): it additionally speaks FrameGossip,
-// the membership digest piggybacked on heartbeat ticks. Like credits it
-// degrades pairwise: a v4 dialer against a v3-or-older receiver gets a lower
-// ack and simply never sends gossip on that connection, and a cluster
-// receiver echoes codecVerCluster with the credit window in Seq when it
-// meters (zero Seq means streaming-and-gossip but unmetered — the dialer
-// must not arm credits off an empty grant).
-const codecVerCluster = 4
-
-// codecVerTraced is the wire version advertised by nodes that can carry
-// distributed trace spans in their message frames. Like credits and gossip
-// it degrades pairwise: a v5 dialer against a v4-or-older receiver gets the
-// lower ack and seals spans at the wire boundary instead of migrating them;
-// a receiver only echoes codecVerTraced when it has a tracer to adopt the
-// spans into. The trace context itself is not negotiated state — each
-// FrameMsg says whether it carries one via msgFlagTraced — so an untraced
-// message on a traced connection still pays zero extra bytes.
-const codecVerTraced = 5
-
-// msgFlagTraced marks a FrameMsg whose header is followed by a trace.WireSpan
-// (the migrating span ledger). It lives in the CodecVer byte, which is
-// documented as zero on every non-hello frame, so pre-trace decoders — which
-// ignore the byte outside negotiation — skip frames they'll never be sent
-// (the flag is only set on connections that negotiated codecVerTraced) and
-// the header layout of v2..v4 frames is untouched.
-const msgFlagTraced = 0x01
-
-var (
-	errBadTag    = errors.New("remote: frame does not start with the v2 binary tag")
-	errTruncated = errors.New("remote: truncated envelope header")
+	frameFlagsKnown = frameFlagTraced | frameFlagSelfContained
 )
+
+var errTruncated = errors.New("remote: truncated envelope header")
 
 // appendEnvelope appends the binary header encoding of w to buf and returns
 // the extended slice. It never fails: every field is length-delimited and
 // bounded only by the transport's maxFrame check at send time.
 func appendEnvelope(buf []byte, w *WireEnvelope) []byte {
-	ver := w.CodecVer
+	flags := w.flags
 	traced := w.Kind == FrameMsg && w.span != nil
 	if traced {
-		ver |= msgFlagTraced
+		flags |= frameFlagTraced
 	}
-	buf = append(buf, frameTagBinary, byte(w.Kind), ver)
+	buf = append(buf, byte(w.Kind), flags)
 	buf = binary.AppendUvarint(buf, w.ToID)
 	buf = binary.AppendUvarint(buf, w.FromID)
 	buf = binary.AppendUvarint(buf, w.Seq)
@@ -103,8 +69,8 @@ func appendEnvelope(buf []byte, w *WireEnvelope) []byte {
 
 // appendWireSpan appends the migrating span ledger after the fixed header:
 // identity, then the running timestamps, then every stage bucket. All
-// uvarints — a fresh root span is ~30 bytes, and only sampled messages on
-// traced connections pay it.
+// uvarints — a fresh root span is ~30 bytes, and only sampled messages to
+// traced peers pay it.
 func appendWireSpan(buf []byte, ws trace.WireSpan) []byte {
 	buf = binary.AppendUvarint(buf, ws.Trace)
 	buf = binary.AppendUvarint(buf, ws.ID)
@@ -143,19 +109,19 @@ func intern(slot *string, b []byte) string {
 // payload session. cache may be nil. Malformed, truncated, or oversized
 // input returns an error — never a panic — which is what FuzzCodec pins.
 func decodeEnvelopeInto(w *WireEnvelope, frame []byte, cache *internTable) (int, error) {
-	if len(frame) < 3 {
+	if len(frame) < 2 {
 		return 0, errTruncated
 	}
-	if frame[0] != frameTagBinary {
-		return 0, errBadTag
-	}
-	kind := FrameKind(frame[1])
+	kind := FrameKind(frame[0])
 	if kind < FrameHello || kind > FrameGossip {
-		return 0, fmt.Errorf("remote: invalid frame kind %d", frame[1])
+		return 0, fmt.Errorf("remote: invalid frame kind %d", frame[0])
+	}
+	if frame[1]&^frameFlagsKnown != 0 {
+		return 0, fmt.Errorf("remote: unknown frame flags %#x", frame[1])
 	}
 	w.Kind = kind
-	w.CodecVer = frame[2]
-	rest := frame[3:]
+	w.flags = frame[1]
+	rest := frame[2:]
 
 	var err error
 	if w.ToID, rest, err = readUvarint(rest); err != nil {
@@ -191,11 +157,10 @@ func decodeEnvelopeInto(w *WireEnvelope, frame []byte, cache *internTable) (int,
 		w.To, w.FromAddr, w.FromName = string(to), string(fromAddr), string(fromName)
 	}
 	w.traced, w.wireSpan = false, trace.WireSpan{}
-	if w.Kind == FrameMsg && w.CodecVer&msgFlagTraced != 0 {
-		// Self-describing: no negotiation state needed here. Strip the flag
-		// so CodecVer keeps its documented "zero on non-hello frames" shape
-		// for everything downstream (wire logs, record/replay).
-		w.CodecVer &^= msgFlagTraced
+	if w.Kind == FrameMsg && w.flags&frameFlagTraced != 0 {
+		// The flag describes the bytes that follow, not the envelope:
+		// strip it, so re-encoding writes it only if a live span rides.
+		w.flags &^= frameFlagTraced
 		if rest, err = readWireSpan(&w.wireSpan, rest); err != nil {
 			return 0, err
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // randEnvelope builds an arbitrary but valid envelope from a seeded source,
@@ -14,17 +16,16 @@ func randEnvelope(rng *rand.Rand) *WireEnvelope {
 	pick := func() uint64 { return nums[rng.Intn(len(nums))] }
 	kinds := []FrameKind{FrameHello, FrameMsg, FrameHeartbeat, FrameHeartbeatAck, FrameHelloAck, FrameCredit, FrameGossip}
 	kind := kinds[rng.Intn(len(kinds))]
-	ver := uint8(rng.Intn(6))
+	flags := uint8(rng.Intn(frameFlagsKnown + 1))
 	if kind == FrameMsg {
-		// On msg frames bit 0 of the CodecVer byte is the traced flag
-		// (msgFlagTraced), owned by the codec: senders leave the byte zero
-		// there, so a valid generated envelope must not claim a span it
-		// does not carry.
-		ver &^= msgFlagTraced
+		// On msg frames the traced flag is owned by the codec (set when a
+		// span rides, stripped on decode), so a valid generated envelope
+		// must not claim a span it does not carry.
+		flags &^= frameFlagTraced
 	}
 	return &WireEnvelope{
 		Kind:     kind,
-		CodecVer: ver,
+		flags:    flags,
 		To:       strs[rng.Intn(len(strs))],
 		ToID:     pick(),
 		FromAddr: strs[rng.Intn(len(strs))],
@@ -37,7 +38,7 @@ func randEnvelope(rng *rand.Rand) *WireEnvelope {
 }
 
 func envelopeHeadersEqual(a, b *WireEnvelope) bool {
-	return a.Kind == b.Kind && a.CodecVer == b.CodecVer &&
+	return a.Kind == b.Kind && a.flags == b.flags &&
 		a.To == b.To && a.ToID == b.ToID &&
 		a.FromAddr == b.FromAddr && a.FromID == b.FromID && a.FromName == b.FromName &&
 		a.Seq == b.Seq && a.Lamport == b.Lamport && a.Content == b.Content
@@ -65,7 +66,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 
 func TestEnvelopeDecodeTruncated(t *testing.T) {
 	w := &WireEnvelope{
-		Kind: FrameMsg, CodecVer: 2, To: "sink", ToID: 9,
+		Kind: FrameMsg, flags: frameFlagSelfContained, To: "sink", ToID: 9,
 		FromAddr: "node-a", FromID: math.MaxUint64, FromName: "driver",
 		Seq: 12345, Lamport: 99,
 	}
@@ -82,21 +83,21 @@ func TestEnvelopeDecodeTruncated(t *testing.T) {
 func TestEnvelopeDecodeRejectsBadInput(t *testing.T) {
 	good := appendEnvelope(nil, &WireEnvelope{Kind: FrameMsg, To: "x"})
 
-	bad := append([]byte{}, good...)
-	bad[0] = 0x05 // not the v2 tag: must be routed to the fallback codec
 	var w WireEnvelope
-	if _, err := decodeEnvelopeInto(&w, bad, nil); err != errBadTag {
-		t.Fatalf("bad tag: err = %v, want errBadTag", err)
-	}
-
-	bad = append([]byte{}, good...)
-	bad[1] = 0 // kind below FrameHello
+	bad := append([]byte{}, good...)
+	bad[0] = 0 // kind below FrameHello
 	if _, err := decodeEnvelopeInto(&w, bad, nil); err == nil {
 		t.Fatal("kind 0 decoded without error")
 	}
-	bad[1] = byte(FrameGossip) + 1 // kind above the known range
+	bad[0] = byte(FrameGossip) + 1 // kind above the known range
 	if _, err := decodeEnvelopeInto(&w, bad, nil); err == nil {
 		t.Fatal("out-of-range kind decoded without error")
+	}
+
+	bad = append([]byte{}, good...)
+	bad[1] = 0x04 // a flag bit the protocol does not define
+	if _, err := decodeEnvelopeInto(&w, bad, nil); err == nil {
+		t.Fatal("unknown flag bit decoded without error")
 	}
 
 	// A string length claiming more bytes than the frame holds.
@@ -131,8 +132,7 @@ func TestCreditFrameWire(t *testing.T) {
 		}
 	}
 
-	var sc sessionCodec = NewStreamCodec()
-	enc, dec := sc.newEncSession(), sc.newDecSession()
+	enc, dec := newEncSession(), newDecSession()
 	var out WireEnvelope
 	if err := dec.decodeFrame(append(frame, 0xAB), &out); err == nil {
 		t.Fatal("credit frame with trailing bytes decoded without error")
@@ -194,9 +194,16 @@ func FuzzCodec(f *testing.F) {
 		f.Add(frame[:rng.Intn(len(frame))])
 	}
 	f.Add([]byte{})
-	f.Add([]byte{frameTagBinary})
+	f.Add([]byte{byte(FrameMsg)})
 	f.Add(appendEnvelope(nil, &WireEnvelope{Kind: FrameCredit, FromAddr: "node-b", Seq: 4096}))
-	f.Add([]byte{frameTagBinary, byte(FrameMsg), 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{byte(FrameMsg), 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	// The flag bits: a self-contained message, a traced one (span ledger
+	// after the header), a traced hello-ack, and an undefined bit.
+	f.Add(appendEnvelope(nil, &WireEnvelope{Kind: FrameMsg, flags: frameFlagSelfContained, To: "sink", Content: 9}))
+	f.Add(appendWireSpan([]byte{byte(FrameMsg), frameFlagTraced, 0, 0, 1, 2, 0, 0, 0, 0},
+		trace.WireSpan{Trace: 1, ID: 2, Start: 3, Last: 4}))
+	f.Add(appendEnvelope(nil, &WireEnvelope{Kind: FrameHelloAck, flags: frameFlagTraced, Seq: 1024}))
+	f.Add([]byte{byte(FrameHello), 0x80, 0, 0, wireProtocol, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var w WireEnvelope
 		n, err := decodeEnvelopeInto(&w, data, nil)
