@@ -188,64 +188,56 @@ func BenchmarkProblem(b *testing.B) {
 // --- Mailbox & dispatcher (actor hot path; see docs/PERF.md) ---
 
 // BenchmarkMailboxTellThroughput is the end-to-end tentpole number: 8
-// concurrent senders flooding one actor through the public Tell path, under
-// each dispatcher. The default config rides the chunked MPSC ring mailbox;
-// see internal/actors for the isolated ring-vs-locked comparison.
+// concurrent senders flooding one actor through the public Tell path. The
+// default config rides the chunked MPSC ring mailbox; see internal/actors
+// for the isolated ring-vs-locked comparison.
 func BenchmarkMailboxTellThroughput(b *testing.B) {
-	for _, mode := range []actors.DispatchMode{actors.Dedicated, actors.Pooled} {
-		b.Run(mode.String(), func(b *testing.B) {
-			sys := actors.NewSystem(actors.Config{Dispatcher: mode})
-			defer sys.Shutdown()
-			done := make(chan struct{})
-			count := 0
-			sink := sys.MustSpawn("sink", func(ctx *actors.Context, msg any) {
-				count++
-				if count == b.N {
-					close(done)
-				}
-			})
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for s := 0; s < 8; s++ {
-				n := b.N / 8
-				if s < b.N%8 {
-					n++
-				}
-				wg.Add(1)
-				go func(n int) {
-					defer wg.Done()
-					for i := 0; i < n; i++ {
-						sink.Tell(i)
-					}
-				}(n)
+	sys := actors.NewSystem(actors.Config{})
+	defer sys.Shutdown()
+	done := make(chan struct{})
+	count := 0
+	sink := sys.MustSpawn("sink", func(ctx *actors.Context, msg any) {
+		count++
+		if count == b.N {
+			close(done)
+		}
+	})
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for s := 0; s < 8; s++ {
+		n := b.N / 8
+		if s < b.N%8 {
+			n++
+		}
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				sink.Tell(i)
 			}
-			wg.Wait()
-			if b.N > 0 {
-				<-done
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
-		})
+		}(n)
 	}
+	wg.Wait()
+	if b.N > 0 {
+		<-done
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 }
 
-// BenchmarkDispatchSpawn100kIdle spawns 100k no-op actors under each
-// dispatcher and reports goroutines per actor: ~1.0 dedicated, ~0 pooled.
+// BenchmarkDispatchSpawn100kIdle spawns 100k no-op actors and reports
+// goroutines per actor, ~0: an idle actor costs no goroutine.
 func BenchmarkDispatchSpawn100kIdle(b *testing.B) {
 	const idle = 100000
-	for _, mode := range []actors.DispatchMode{actors.Dedicated, actors.Pooled} {
-		b.Run(mode.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				before := runtime.NumGoroutine()
-				sys := actors.NewSystem(actors.Config{Dispatcher: mode})
-				for j := 0; j < idle; j++ {
-					sys.MustSpawn("idle", func(ctx *actors.Context, msg any) {})
-				}
-				b.ReportMetric(float64(runtime.NumGoroutine()-before)/idle, "goroutines/actor")
-				b.StopTimer()
-				sys.Shutdown()
-				b.StartTimer()
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		before := runtime.NumGoroutine()
+		sys := actors.NewSystem(actors.Config{})
+		for j := 0; j < idle; j++ {
+			sys.MustSpawn("idle", func(ctx *actors.Context, msg any) {})
+		}
+		b.ReportMetric(float64(runtime.NumGoroutine()-before)/idle, "goroutines/actor")
+		b.StopTimer()
+		sys.Shutdown()
+		b.StartTimer()
 	}
 }
 

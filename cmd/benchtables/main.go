@@ -473,29 +473,26 @@ func mailboxTable(reps, scale int) []benchEntry {
 	addTell("tell ring mailbox, 1 sender", actors.Config{}, 1)
 	addTell("tell ring mailbox, 8 senders", actors.Config{}, 8)
 	addTell("tell locked mailbox, 8 senders", actors.Config{MailboxCap: lockCap}, 8)
-	addTell("tell ring + pooled dispatch, 8 senders", actors.Config{Dispatcher: actors.Pooled}, 8)
 
 	idle := 100000 / scale
-	for _, mode := range []actors.DispatchMode{actors.Dedicated, actors.Pooled} {
-		name := fmt.Sprintf("spawn %dk idle actors (%s)", idle/1000, mode)
-		var perActor float64
-		_, err := timeMedian(reps, func() error {
-			before := runtime.NumGoroutine()
-			sys := actors.NewSystem(actors.Config{Dispatcher: mode})
-			for i := 0; i < idle; i++ {
-				sys.MustSpawn("idle", func(ctx *actors.Context, msg any) {})
-			}
-			perActor = float64(runtime.NumGoroutine()-before) / float64(idle)
-			sys.Shutdown()
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", name, err)
-			os.Exit(1)
+	name := fmt.Sprintf("spawn %dk idle actors", idle/1000)
+	var perActor float64
+	_, err := timeMedian(reps, func() error {
+		before := runtime.NumGoroutine()
+		sys := actors.NewSystem(actors.Config{})
+		for i := 0; i < idle; i++ {
+			sys.MustSpawn("idle", func(ctx *actors.Context, msg any) {})
 		}
-		t.AddRow(name, fmt.Sprintf("%.3f goroutines/actor", perActor))
-		entries = append(entries, benchEntry{Name: name, Metric: "goroutines/actor", Value: perActor})
+		perActor = float64(runtime.NumGoroutine()-before) / float64(idle)
+		sys.Shutdown()
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", name, err)
+		os.Exit(1)
 	}
+	t.AddRow(name, fmt.Sprintf("%.3f goroutines/actor", perActor))
+	entries = append(entries, benchEntry{Name: name, Metric: "goroutines/actor", Value: perActor})
 	fmt.Print(t)
 	return entries
 }
@@ -511,7 +508,7 @@ func writeBaseline(path string, scale int, entries []benchEntry) error {
 		Entries []benchEntry `json:"entries"`
 	}{
 		Note: "Actor mailbox/dispatcher baseline. Machine-dependent: compare " +
-			"ratios (ring vs locked, dedicated vs pooled), not absolutes.",
+			"ratios (ring vs locked), not absolutes.",
 		Command: "go run ./cmd/benchtables -json BENCH_mailbox.json",
 		Scale:   scale,
 		Entries: entries,

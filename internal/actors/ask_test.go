@@ -221,34 +221,31 @@ func TestAskRetryFailsFastOnStoppedActor(t *testing.T) {
 	}
 }
 
-// TestAskReplySlot pins the reply slot under both dispatchers: while the ask
-// waits, the asker is a Ref named ask-reply that ByID resolves (how a remote
-// reply finds it) but that is not an actor; it takes the first reply only,
-// and a second one deadletters as if sent to a stopped actor.
+// TestAskReplySlot pins the reply slot: while the ask waits, the asker is a
+// Ref named ask-reply that ByID resolves (how a remote reply finds it) but
+// that is not an actor; it takes the first reply only, and a second one
+// deadletters as if sent to a stopped actor.
 func TestAskReplySlot(t *testing.T) {
-	for _, mode := range []DispatchMode{Dedicated, Pooled} {
-		sys := NewSystem(Config{Dispatcher: mode})
-		var slot *Ref
-		twice := sys.MustSpawn("twice", func(ctx *Context, msg any) {
-			slot = ctx.Sender()
-			if slot.Name() != "ask-reply" || sys.ByID(slot.ID()) != slot || sys.Alive(slot) {
-				t.Errorf("dispatch %v: waiting asker %v: ByID = %v, Alive = %v",
-					mode, slot, sys.ByID(slot.ID()), sys.Alive(slot))
-			}
-			ctx.Reply("first")
-			ctx.Reply("second")
-		})
-		got, err := Ask(sys, twice, "go", time.Second)
-		if err != nil || got != "first" {
-			t.Fatalf("dispatch %v: Ask = %v, %v; want the first reply", mode, got, err)
+	sys := NewSystem(Config{})
+	var slot *Ref
+	twice := sys.MustSpawn("twice", func(ctx *Context, msg any) {
+		slot = ctx.Sender()
+		if slot.Name() != "ask-reply" || sys.ByID(slot.ID()) != slot || sys.Alive(slot) {
+			t.Errorf("waiting asker %v: ByID = %v, Alive = %v", slot, sys.ByID(slot.ID()), sys.Alive(slot))
 		}
-		sys.Shutdown()
-		if n := sys.DeadLettersOf(DLDead); n != 1 {
-			t.Fatalf("dispatch %v: DLDead = %d, want 1 (the second reply)", mode, n)
-		}
-		if sys.ByID(slot.ID()) != nil {
-			t.Fatalf("dispatch %v: ByID still resolves the slot after the ask returned", mode)
-		}
+		ctx.Reply("first")
+		ctx.Reply("second")
+	})
+	got, err := Ask(sys, twice, "go", time.Second)
+	if err != nil || got != "first" {
+		t.Fatalf("Ask = %v, %v; want the first reply", got, err)
+	}
+	sys.Shutdown()
+	if n := sys.DeadLettersOf(DLDead); n != 1 {
+		t.Fatalf("DLDead = %d, want 1 (the second reply)", n)
+	}
+	if sys.ByID(slot.ID()) != nil {
+		t.Fatal("ByID still resolves the slot after the ask returned")
 	}
 }
 

@@ -43,9 +43,11 @@ func BenchmarkMailboxThroughput(b *testing.B) {
 				got := 0
 				var buf []Envelope
 				for got < total {
-					batch, ok := m.takeN(buf[:0], 64)
-					if !ok {
-						b.Fatal("mailbox closed")
+					// The consumer never waits on a mailbox (a worker only
+					// drains a scheduled actor), so spin on an empty one.
+					batch := m.drain(buf[:0], 64)
+					if len(batch) == 0 {
+						runtime.Gosched()
 					}
 					got += len(batch)
 				}
@@ -57,7 +59,7 @@ func BenchmarkMailboxThroughput(b *testing.B) {
 }
 
 // BenchmarkMailboxBatchedDrain isolates the receive side: one flooded
-// mailbox drained with takeN batches vs envelope-at-a-time.
+// mailbox drained in batches vs envelope-at-a-time.
 func BenchmarkMailboxBatchedDrain(b *testing.B) {
 	for _, batch := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
@@ -69,139 +71,110 @@ func BenchmarkMailboxBatchedDrain(b *testing.B) {
 			got := 0
 			var buf []Envelope
 			for got < b.N {
-				out, ok := m.takeN(buf[:0], batch)
-				if !ok {
-					b.Fatal("closed")
-				}
-				got += len(out)
+				got += len(m.drain(buf[:0], batch))
 			}
 		})
 	}
-}
-
-// dispatchModes enumerates both dispatchers for side-by-side benches.
-var dispatchModes = []struct {
-	name string
-	cfg  Config
-}{
-	{"dedicated", Config{}},
-	{"pooled", Config{Dispatcher: Pooled}},
 }
 
 // BenchmarkDispatchTell: 8 concurrent senders flooding one actor through
-// the full system send path, under each dispatcher.
+// the full system send path.
 func BenchmarkDispatchTell(b *testing.B) {
-	for _, mode := range dispatchModes {
-		b.Run(mode.name, func(b *testing.B) {
-			sys := NewSystem(mode.cfg)
-			defer sys.Shutdown()
-			done := make(chan struct{})
-			count := 0
-			sink := sys.MustSpawn("sink", func(ctx *Context, msg any) {
-				count++
-				if count == b.N {
-					close(done)
-				}
-			})
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for s := 0; s < 8; s++ {
-				n := b.N / 8
-				if s < b.N%8 {
-					n++
-				}
-				wg.Add(1)
-				go func(n int) {
-					defer wg.Done()
-					for i := 0; i < n; i++ {
-						sink.Tell(i)
-					}
-				}(n)
+	sys := NewSystem(Config{})
+	defer sys.Shutdown()
+	done := make(chan struct{})
+	count := 0
+	sink := sys.MustSpawn("sink", func(ctx *Context, msg any) {
+		count++
+		if count == b.N {
+			close(done)
+		}
+	})
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for s := 0; s < 8; s++ {
+		n := b.N / 8
+		if s < b.N%8 {
+			n++
+		}
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				sink.Tell(i)
 			}
-			wg.Wait()
-			if b.N > 0 {
-				<-done
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
-		})
+		}(n)
 	}
+	wg.Wait()
+	if b.N > 0 {
+		<-done
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 }
 
-// BenchmarkDispatchPingPong: request/response latency under each
-// dispatcher (pooled pays a run-queue hop per turn).
+// BenchmarkDispatchPingPong: request/response latency, one run-queue hop
+// per turn.
 func BenchmarkDispatchPingPong(b *testing.B) {
-	for _, mode := range dispatchModes {
-		b.Run(mode.name, func(b *testing.B) {
-			sys := NewSystem(mode.cfg)
-			defer sys.Shutdown()
-			done := make(chan struct{})
-			rounds := 0
-			var pong *Ref
-			ping := sys.MustSpawn("ping", func(ctx *Context, msg any) {
-				rounds++
-				if rounds >= b.N {
-					close(done)
-					return
-				}
-				ctx.Send(pong, nil)
-			})
-			pong = sys.MustSpawn("pong", func(ctx *Context, msg any) { ctx.Reply(nil) })
-			b.ResetTimer()
-			ping.Tell(nil)
-			<-done
-		})
-	}
+	sys := NewSystem(Config{})
+	defer sys.Shutdown()
+	done := make(chan struct{})
+	rounds := 0
+	var pong *Ref
+	ping := sys.MustSpawn("ping", func(ctx *Context, msg any) {
+		rounds++
+		if rounds >= b.N {
+			close(done)
+			return
+		}
+		ctx.Send(pong, nil)
+	})
+	pong = sys.MustSpawn("pong", func(ctx *Context, msg any) { ctx.Reply(nil) })
+	b.ResetTimer()
+	ping.Tell(nil)
+	<-done
 }
 
-// BenchmarkDispatchFanOut: one round of work scattered across 1000 actors,
-// under each dispatcher — the many-mostly-idle-actors shape Pooled targets.
+// BenchmarkDispatchFanOut: one round of work scattered across 1000 actors —
+// the many-mostly-idle-actors shape the worker pool targets.
 func BenchmarkDispatchFanOut(b *testing.B) {
 	const actors = 1000
-	for _, mode := range dispatchModes {
-		b.Run(mode.name, func(b *testing.B) {
-			sys := NewSystem(mode.cfg)
-			defer sys.Shutdown()
-			var mu sync.Mutex
-			count := 0
-			done := make(chan struct{})
-			refs := make([]*Ref, actors)
-			for i := range refs {
-				refs[i] = sys.MustSpawn("w", func(ctx *Context, msg any) {
-					mu.Lock()
-					count++
-					if count == b.N {
-						close(done)
-					}
-					mu.Unlock()
-				})
+	sys := NewSystem(Config{})
+	defer sys.Shutdown()
+	var mu sync.Mutex
+	count := 0
+	done := make(chan struct{})
+	refs := make([]*Ref, actors)
+	for i := range refs {
+		refs[i] = sys.MustSpawn("w", func(ctx *Context, msg any) {
+			mu.Lock()
+			count++
+			if count == b.N {
+				close(done)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				refs[i%actors].Tell(i)
-			}
-			<-done
+			mu.Unlock()
 		})
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refs[i%actors].Tell(i)
+	}
+	<-done
 }
 
 // BenchmarkSpawn100kIdle spawns 100k no-op actors and reports goroutines
-// per actor: ~1.0 dedicated, ~0 pooled (the acceptance criterion).
+// per actor, ~0: an idle actor costs no goroutine.
 func BenchmarkSpawn100kIdle(b *testing.B) {
 	const actors = 100000
-	for _, mode := range dispatchModes {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				before := runtime.NumGoroutine()
-				sys := NewSystem(mode.cfg)
-				for j := 0; j < actors; j++ {
-					sys.MustSpawn("idle", func(ctx *Context, msg any) {})
-				}
-				b.ReportMetric(float64(runtime.NumGoroutine()-before)/actors, "goroutines/actor")
-				b.StopTimer()
-				sys.Shutdown()
-				b.StartTimer()
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		before := runtime.NumGoroutine()
+		sys := NewSystem(Config{})
+		for j := 0; j < actors; j++ {
+			sys.MustSpawn("idle", func(ctx *Context, msg any) {})
+		}
+		b.ReportMetric(float64(runtime.NumGoroutine()-before)/actors, "goroutines/actor")
+		b.StopTimer()
+		sys.Shutdown()
+		b.StartTimer()
 	}
 }
 

@@ -1,103 +1,128 @@
 package actors
 
 import (
-	"fmt"
 	"sync"
+	"time"
 )
 
-// DispatchMode selects how actor mailboxes are driven.
-type DispatchMode int
+// Every actor runs on its system's worker pool (Config.PoolSize
+// goroutines). An actor consumes no goroutine until a message arrives; the
+// send then schedules it onto a worker, which drains the mailbox in batches
+// for a slice of up to Config.Throughput messages and moves on. Very large
+// mostly-idle populations (100k+) therefore cost only their mailboxes.
+//
+// Blocking contract: a behavior that blocks occupies its worker for as long
+// as it blocks, so behaviors should communicate by messages rather than
+// blocking primitives. The runtime's own waits never pin a worker
+// indefinitely: a supervised restart backoff leaves the worker and resumes
+// from a timer (superviseFailure), and a Context.Send that must wait on a
+// full MailboxBlock mailbox hands its worker slot to a spare worker for the
+// wait (sendMode). Arbitrary user blocking (channel waits, Ask inside a
+// behavior) is not managed; see docs/PERF.md.
 
-const (
-	// Dedicated gives every actor its own goroutine that blocks on the
-	// mailbox — the seed runtime's model. Behaviors may block freely
-	// (channel ops, Ask, bounded-mailbox sends); the cost is one goroutine
-	// (~2KiB stack plus scheduler state) per actor, idle or not.
-	Dedicated DispatchMode = iota
-	// Pooled multiplexes every actor onto a bounded worker pool
-	// (Config.PoolSize goroutines): an actor consumes no goroutine at all
-	// until a message arrives, then is scheduled onto a worker for a slice
-	// of up to Config.Throughput messages. This makes very large mostly-
-	// idle actor populations (100k+) cheap. The trade: a behavior that
-	// blocks indefinitely occupies a worker, so under Pooled dispatch
-	// behaviors should communicate via messages rather than blocking
-	// primitives (see docs/PERF.md).
-	Pooled
-)
-
-func (d DispatchMode) String() string {
-	switch d {
-	case Dedicated:
-		return "dedicated"
-	case Pooled:
-		return "pooled"
-	default:
-		return fmt.Sprintf("DispatchMode(%d)", int(d))
-	}
-}
-
-// Cell scheduling states (cell.sched) under Pooled dispatch.
+// Cell scheduling states (cell.sched).
 const (
 	cellIdle      int32 = iota // not on the run queue, no worker owns it
-	cellScheduled              // queued or being processed by a worker
+	cellScheduled              // queued, processed by a worker, or parked in a backoff
 )
 
-// runQueue is the pool's FIFO of runnable cells: senders push on message
-// arrival (via System.schedule, which de-dupes through cell.sched), workers
-// pop. Amortized O(1) like the lock mailbox: a head index advances and the
-// backing array compacts when the dead prefix dominates.
-type runQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	q       []*cell
-	head    int
-	waiters int
-	closed  bool
-}
+// step is processOne's verdict on the cell after one message.
+type step int8
 
-func newRunQueue() *runQueue {
-	rq := &runQueue{}
-	rq.cond = sync.NewCond(&rq.mu)
-	return rq
+const (
+	stepNext step = iota // keep processing
+	stepExit             // the actor terminated: tear it down
+	stepPark             // restart backoff: leave the worker, keep the schedule flag
+)
+
+// runQueue is the pool's scheduler: a FIFO of runnable cells plus the
+// workers parked for want of one. push hands a cell straight to a parked
+// worker when there is one (the most recently parked, whose cache is
+// warmest) and queues it otherwise; pop takes the FIFO's head or parks. The
+// handoff makes the worker woken for a cell the one that runs it: with a
+// plain condition variable, a worker woken for a fresh cell could find an
+// older backlog at the head and run that first, while the worker woken for
+// the backlog had not yet been scheduled. Amortized O(1) like the lock
+// mailbox: a head index advances and the backing array compacts when the
+// dead prefix dominates.
+type runQueue struct {
+	mu     sync.Mutex
+	q      []*cell
+	head   int
+	idle   []chan *cell // parked workers' handoff slots (capacity 1)
+	retire int          // spare workers owed retirement (see System.startSpare)
+	closed bool
 }
 
 func (rq *runQueue) push(c *cell) {
 	rq.mu.Lock()
-	rq.q = append(rq.q, c)
-	if rq.waiters > 0 {
-		rq.cond.Signal()
+	if n := len(rq.idle); n > 0 {
+		w := rq.idle[n-1]
+		rq.idle = rq.idle[:n-1]
+		rq.mu.Unlock()
+		w <- c
+		return
 	}
+	rq.q = append(rq.q, c)
 	rq.mu.Unlock()
 }
 
-// pop blocks for the next runnable cell; ok is false once the queue is
-// closed and empty.
-func (rq *runQueue) pop() (c *cell, ok bool) {
+// requeue puts c at the back of the queue without waking a parked worker:
+// the calling worker pops next, and runs c itself if nothing is ahead.
+func (rq *runQueue) requeue(c *cell) {
 	rq.mu.Lock()
-	defer rq.mu.Unlock()
-	for len(rq.q) == rq.head && !rq.closed {
-		rq.waiters++
-		rq.cond.Wait()
-		rq.waiters--
-	}
-	if len(rq.q) == rq.head {
-		return nil, false
-	}
-	c = rq.q[rq.head]
-	rq.q[rq.head] = nil
-	rq.head++
-	if rq.head > 64 && rq.head*2 >= len(rq.q) {
-		n := copy(rq.q, rq.q[rq.head:])
-		for i := n; i < len(rq.q); i++ {
-			rq.q[i] = nil
-		}
-		rq.q = rq.q[:n]
-		rq.head = 0
-	}
-	return c, true
+	rq.q = append(rq.q, c)
+	rq.mu.Unlock()
 }
 
-// depth returns the number of cells waiting on the run queue — the pooled
+// pop returns the next runnable cell for the worker whose handoff slot is
+// slot, parking the worker until one arrives. ok is false once the queue is
+// closed and empty, or when the worker is picked to retire.
+func (rq *runQueue) pop(slot chan *cell) (c *cell, ok bool) {
+	rq.mu.Lock()
+	switch {
+	case rq.retire > 0:
+		rq.retire--
+		rq.mu.Unlock()
+		return nil, false
+	case rq.head < len(rq.q):
+		c = rq.q[rq.head]
+		rq.q[rq.head] = nil
+		rq.head++
+		if rq.head > 64 && rq.head*2 >= len(rq.q) {
+			n := copy(rq.q, rq.q[rq.head:])
+			clear(rq.q[n:])
+			rq.q = rq.q[:n]
+			rq.head = 0
+		}
+		rq.mu.Unlock()
+		return c, true
+	case rq.closed:
+		rq.mu.Unlock()
+		return nil, false
+	}
+	rq.idle = append(rq.idle, slot)
+	rq.mu.Unlock()
+	c = <-slot
+	return c, c != nil
+}
+
+// retireOne makes one worker exit, shrinking the pool back by one: a parked
+// worker at once, else the next worker to look for work.
+func (rq *runQueue) retireOne() {
+	rq.mu.Lock()
+	if n := len(rq.idle); n > 0 {
+		w := rq.idle[n-1]
+		rq.idle = rq.idle[:n-1]
+		rq.mu.Unlock()
+		w <- nil
+		return
+	}
+	rq.retire++
+	rq.mu.Unlock()
+}
+
+// depth returns the number of cells waiting on the run queue — the
 // dispatcher's backlog gauge.
 func (rq *runQueue) depth() int {
 	rq.mu.Lock()
@@ -108,88 +133,115 @@ func (rq *runQueue) depth() int {
 func (rq *runQueue) close() {
 	rq.mu.Lock()
 	rq.closed = true
-	rq.cond.Broadcast()
+	idle := rq.idle
+	rq.idle = nil
 	rq.mu.Unlock()
+	for _, w := range idle {
+		w <- nil
+	}
 }
 
-// schedule puts c on the run queue if it is not already there (Pooled mode
-// only). The cellIdle→cellScheduled CAS guarantees a cell is queued at most
-// once and never concurrently processed by two workers; the flag is
-// released by the worker after its slice (runSlice), which re-checks the
-// mailbox so a message that raced the release is never stranded.
+// schedule puts c on the run queue if it is not already there. The
+// cellIdle→cellScheduled CAS guarantees a cell is queued at most once and
+// never concurrently processed by two workers; the flag is released by the
+// worker after its slice (runSlice), which re-checks the mailbox so a
+// message that raced the release is never stranded. The plain load first
+// keeps a flood to a busy actor from contending on the flag's cache line.
 func (s *System) schedule(c *cell) {
-	if s.runq == nil {
-		return
-	}
-	if c.sched.CompareAndSwap(cellIdle, cellScheduled) {
+	if c.sched.Load() == cellIdle && c.sched.CompareAndSwap(cellIdle, cellScheduled) {
 		s.runq.push(c)
 	}
 }
 
+// startSpare is the managed-blocking hand-off: a worker about to wait inside
+// the runtime starts a spare worker so the pool keeps its width, and calls
+// runq.retireOne once the wait is over. Whichever worker next looks for work
+// then retires.
+func (s *System) startSpare() {
+	s.workerWG.Add(1)
+	go s.worker()
+}
+
 // worker is one pool goroutine: it drains the run queue, giving each
-// runnable cell a bounded slice of messages.
+// runnable cell a bounded slice of messages. Its handoff slot and batch
+// buffer are reused across slices.
 func (s *System) worker() {
 	defer s.workerWG.Done()
+	slot := make(chan *cell, 1)
+	var buf []Envelope
 	for {
-		c, ok := s.runq.pop()
+		c, ok := s.runq.pop(slot)
 		if !ok {
 			return
 		}
-		s.runSlice(c)
+		buf = s.runSlice(c, buf)
 	}
 }
 
-// runSlice processes up to Throughput messages for one cell, then yields
-// the worker. On actor exit the schedule flag is left set so the dead cell
-// can never be re-queued; otherwise the flag is released and the mailbox
-// re-checked to close the release/send race.
-func (s *System) runSlice(c *cell) {
-	for i := 0; i < s.throughput; i++ {
-		e, ok := c.mbox.tryTake()
-		if !ok {
-			break
+// runSlice processes up to Throughput messages for one cell, drained from
+// its mailbox in batches, then yields the worker. A cell parked by a restart
+// backoff first finishes the supervision directive (c.resume) and the
+// messages it had already dequeued (c.held). On actor exit the schedule flag
+// is left set so the dead cell can never be re-queued; on a park it stays
+// set until the backoff timer re-queues the cell; otherwise it is released
+// and the mailbox re-checked to close the release/send race. A cell with
+// mail left goes to the back of the queue, where this worker, now free,
+// finds it unless other cells are waiting: yielding costs no wake.
+func (s *System) runSlice(c *cell, buf []Envelope) []Envelope {
+	batch := append(buf[:0], c.held...)
+	c.held = nil
+	if c.resume != nil {
+		resume := c.resume
+		c.resume = nil
+		if !resume() {
+			s.teardown(c, batch)
+			return clearBatch(batch)
 		}
-		if s.processOne(c, e) {
-			s.teardown(c)
-			return
+	}
+	budget := s.throughput
+	for {
+		if len(batch) == 0 {
+			if batch = c.mbox.drain(batch, budget); len(batch) == 0 {
+				break
+			}
+		}
+		budget -= len(batch)
+		for i, e := range batch {
+			switch s.processOne(c, e) {
+			case stepExit:
+				s.teardown(c, batch[i+1:])
+				return clearBatch(batch)
+			case stepPark:
+				c.held = append([]Envelope(nil), batch[i+1:]...)
+				s.park(c)
+				return clearBatch(batch)
+			}
+		}
+		batch = clearBatch(batch)
+		if budget <= 0 {
+			break
 		}
 	}
 	c.sched.Store(cellIdle)
-	if c.mbox.size() > 0 {
-		s.schedule(c)
+	if c.mbox.size() > 0 && c.sched.CompareAndSwap(cellIdle, cellScheduled) {
+		s.runq.requeue(c)
 	}
+	return batch
 }
 
-// runDedicated is one actor's dedicated goroutine (Dedicated mode): it
-// blocks on the mailbox, draining batches of up to Throughput envelopes
-// per takeN (a single atomic handoff on the ring mailbox). If the actor
-// exits mid-batch, the already-dequeued remainder is deadlettered exactly
-// as if it had still been queued at close.
-func (s *System) runDedicated(c *cell) {
-	// The batch buffer starts nil and grows through takeN's appends: an
-	// actor that never sees a deep backlog never pays for a full
-	// Throughput-sized buffer, which keeps spawn cheap.
-	var buf []Envelope
-	for {
-		batch, ok := c.mbox.takeN(buf[:0], s.throughput)
-		if !ok {
-			s.teardown(c)
-			return
-		}
-		for i, e := range batch {
-			if s.processOne(c, e) {
-				for _, rest := range batch[i+1:] {
-					// Already dequeued but never processed: drained, like
-					// the close-time drain in teardown.
-					if s.conserve && !isControl(rest.Msg) {
-						s.drained.Add(1)
-					}
-					s.deadletter(c.ref, rest)
-				}
-				s.teardown(c)
-				return
-			}
-		}
-		buf = batch // keep the grown backing array for the next batch
-	}
+// clearBatch empties a processed batch for reuse, dropping its envelope
+// references so an idle worker's buffer keeps no message alive.
+func clearBatch(batch []Envelope) []Envelope {
+	clear(batch)
+	return batch[:0]
+}
+
+// park takes c off its worker for the restart backoff superviseFailure
+// recorded in c.backoff and c.resume: the schedule flag stays set, so sends
+// queue without scheduling it, and a timer re-queues the cell after the
+// delay, when runSlice runs resume first. The caller stores c.held before
+// calling park, so the worker that picks the cell up sees every field the
+// backoff carries.
+func (s *System) park(c *cell) {
+	time.AfterFunc(c.backoff, func() { s.runq.push(c) })
 }

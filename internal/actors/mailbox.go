@@ -54,9 +54,10 @@ type MailboxPolicy int
 
 const (
 	// MailboxBlock (default): the sender blocks until a slot opens — classic
-	// bounded-mailbox backpressure. Safe under Dedicated dispatch; under
-	// Pooled dispatch a blocked sender occupies a worker, so prefer
-	// MailboxParkSender there.
+	// bounded-mailbox backpressure. A behavior sending through Context.Send
+	// hands its worker slot to a spare worker while it waits, so the pool
+	// keeps running the consumer it waits on; any other blocked sender (an
+	// outside goroutine, a Ref.Tell inside a behavior) simply waits.
 	MailboxBlock MailboxPolicy = iota
 	// MailboxShed: the message is dropped immediately and deadlettered with
 	// kind DLOverloaded. The sender never blocks; Ask fails fast with
@@ -64,9 +65,8 @@ const (
 	MailboxShed
 	// MailboxParkSender: the sender parks for at most Config.ParkTimeout
 	// waiting for a slot, then sheds like MailboxShed. Bounded occupancy —
-	// a pooled worker can stall briefly but can never be captured
-	// indefinitely by one slow consumer, which is what makes backpressure
-	// deadlock-safe on a fixed-size worker pool.
+	// a worker can stall briefly but can never be captured indefinitely by
+	// one slow consumer.
 	MailboxParkSender
 )
 
@@ -89,6 +89,10 @@ type putMode int8
 const (
 	// putWait: honor the mailbox's admission policy (block / shed / park).
 	putWait putMode = iota
+	// putManaged: putWait for a Context.Send on a worker, except that a put
+	// that would block under MailboxBlock returns putFull instead, so the
+	// caller can hand its worker slot to a spare before it waits.
+	putManaged
 	// putForce: control message — bypass capacity bounds entirely, so
 	// shutdown and supervision can never be wedged by a full queue.
 	putForce
@@ -112,6 +116,9 @@ const (
 	// under MailboxShed / ParkSender / putNoWait); the caller deadletters
 	// as DLOverloaded.
 	putShed
+	// putFull: a putManaged put found a MailboxBlock mailbox full and
+	// enqueued nothing; the caller retries with putWait.
+	putFull
 )
 
 // mailbox is a FIFO queue of envelopes. Two implementations exist:
@@ -119,31 +126,29 @@ const (
 //   - ringMailbox (ring.go): the throughput fast path — a chunked MPSC
 //     queue with lock-free sends and batched dequeue. Used for unbounded,
 //     unperturbed, uninjected mailboxes (the common case).
-//   - lockMailbox (below): the fully-featured slow path — mutex + condvars,
-//     supporting MailboxCap admission control (block / shed / park-sender)
-//     and PerturbSeed random delivery. Also selected when a fault injector
-//     is configured, so injected fault timing stays identical to the
-//     original runtime.
+//   - lockMailbox (below): the fully-featured slow path — a mutex plus a
+//     condvar for bounded senders, supporting MailboxCap admission control
+//     (block / shed / park-sender) and PerturbSeed random delivery. Also
+//     selected when a fault injector is configured, so injected fault
+//     timing stays identical to the original runtime.
 //
-// Concurrency contract shared by both: put/close(false)/size may be called
-// from any goroutine; takeN/tryTake/close(true) are single-consumer — only
-// the goroutine (or pooled worker holding the cell's schedule slot) that
-// owns the actor may call them.
+// Neither ever blocks its consumer: the worker pool only drains a mailbox
+// after a send scheduled its actor. Concurrency contract shared by both:
+// put/close(false)/size may be called from any goroutine; drain and
+// close(true) are single-consumer — only the worker holding the cell's
+// schedule flag may call them.
 type mailbox interface {
 	// put enqueues an envelope; mode says whether a full bounded mailbox
 	// may block the caller (putWait + MailboxBlock), must shed (putNoWait,
-	// or a shedding policy), or is bypassed entirely (putForce).
+	// or a shedding policy), reports putFull (putManaged + MailboxBlock), or
+	// is bypassed entirely (putForce).
 	put(e Envelope, mode putMode) putResult
-	// takeN appends up to max envelopes to buf, blocking until at least one
-	// is available or the mailbox closes. ok is false when the mailbox is
-	// closed and drained (buf is returned unchanged then).
-	takeN(buf []Envelope, max int) (batch []Envelope, ok bool)
-	// tryTake dequeues one envelope without blocking. ok is false when the
-	// mailbox is empty (or closed and drained).
-	tryTake() (e Envelope, ok bool)
-	// close marks the mailbox closed and wakes blocked senders and takers.
-	// When discard is true it returns what was still queued (for deadletter
-	// accounting); pending messages stay takeable otherwise.
+	// drain appends up to max queued envelopes to buf without blocking; it
+	// appends none when the mailbox is empty (or closed and drained).
+	drain(buf []Envelope, max int) []Envelope
+	// close marks the mailbox closed and wakes blocked senders. When
+	// discard is true it returns what was still queued (for deadletter
+	// accounting); pending messages stay drainable otherwise.
 	close(discard bool) []Envelope
 	// size returns the number of queued envelopes.
 	size() int
@@ -173,25 +178,22 @@ func newMailbox(perturb *rand.Rand, capacity int, injected bool, sample uint64, 
 //
 // Dequeue is amortized O(1): a head index advances instead of re-slicing,
 // and the backing array is compacted once the dead prefix dominates.
-// Wakeups are split across two condition variables (notEmpty for takers,
-// notFull for bounded senders) and only fired when the matching waiter
-// count is non-zero, so the uncontended enqueue path never pays for a
-// futex wake.
+// Blocked bounded senders wait on notFull, which a dequeue signals only
+// when the waiter count is non-zero, so the uncontended path never pays
+// for a futex wake.
 type lockMailbox struct {
-	mu          sync.Mutex
-	notEmpty    *sync.Cond // takers wait here
-	notFull     *sync.Cond // bounded senders wait here
-	takeWaiters int        // takers blocked in notEmpty.Wait
-	putWaiters  int        // senders blocked in notFull.Wait
-	queue       []Envelope
-	head        int // queue[head:] are the live entries
-	closed      bool
-	perturb     *rand.Rand
-	cap         int
-	policy      MailboxPolicy // full-queue admission policy (cap > 0 only)
-	parkFor     time.Duration // MailboxParkSender's bounded wait
-	sample      uint64        // latency sampling rate (0 = off); see newMailbox
-	seq         uint64        // accepted puts, the sampling tick; guarded by mu
+	mu         sync.Mutex
+	notFull    *sync.Cond // bounded senders wait here
+	putWaiters int        // senders blocked in notFull.Wait
+	queue      []Envelope
+	head       int // queue[head:] are the live entries
+	closed     bool
+	perturb    *rand.Rand
+	cap        int
+	policy     MailboxPolicy // full-queue admission policy (cap > 0 only)
+	parkFor    time.Duration // MailboxParkSender's bounded wait
+	sample     uint64        // latency sampling rate (0 = off); see newMailbox
+	seq        uint64        // accepted puts, the sampling tick; guarded by mu
 }
 
 // parkPoll is the granularity of a MailboxParkSender wait: sync.Cond has no
@@ -201,7 +203,6 @@ const parkPoll = 50 * time.Microsecond
 
 func newLockMailbox(perturb *rand.Rand, capacity int, sample uint64, policy MailboxPolicy, parkFor time.Duration) *lockMailbox {
 	m := &lockMailbox{perturb: perturb, cap: capacity, sample: sample, policy: policy, parkFor: parkFor}
-	m.notEmpty = sync.NewCond(&m.mu)
 	m.notFull = sync.NewCond(&m.mu)
 	return m
 }
@@ -220,6 +221,8 @@ func (m *lockMailbox) put(e Envelope, mode putMode) putResult {
 			if !m.parkLocked() {
 				return putShed
 			}
+		case mode == putManaged:
+			return putFull
 		default: // MailboxBlock
 			for m.live() >= m.cap && !m.closed {
 				m.putWaiters++
@@ -236,9 +239,6 @@ func (m *lockMailbox) put(e Envelope, mode putMode) putResult {
 	}
 	m.seq++
 	m.queue = append(m.queue, e)
-	if m.takeWaiters > 0 {
-		m.notEmpty.Signal()
-	}
 	return putOK
 }
 
@@ -261,23 +261,18 @@ func (m *lockMailbox) parkLocked() bool {
 	return true
 }
 
-// takeOne dequeues the next envelope, blocking until one is available or
-// the mailbox closes. ok is false if the mailbox closed and drained.
-func (m *lockMailbox) takeOne() (e Envelope, ok bool) {
+// drain on the lock mailbox dequeues a single envelope per call: bounded
+// mailboxes keep one-in-one-out backpressure granularity (a bulk drain
+// would release every blocked sender at once), and perturbed mailboxes
+// keep the seed's per-dequeue random draw. Batched dequeue is the ring
+// mailbox's job.
+func (m *lockMailbox) drain(buf []Envelope, max int) []Envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.live() == 0 && !m.closed {
-		m.takeWaiters++
-		m.notEmpty.Wait()
-		m.takeWaiters--
+	if e, ok := m.popLocked(); ok {
+		buf = append(buf, e)
 	}
-	return m.popLocked()
-}
-
-func (m *lockMailbox) tryTake() (e Envelope, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.popLocked()
+	return buf
 }
 
 // popLocked removes one envelope (random under perturbation) and wakes one
@@ -311,19 +306,6 @@ func (m *lockMailbox) popLocked() (e Envelope, ok bool) {
 	return e, true
 }
 
-// takeN on the lock mailbox intentionally dequeues a single envelope per
-// call: bounded mailboxes keep one-in-one-out backpressure granularity
-// (a bulk drain would release every blocked sender at once), and perturbed
-// mailboxes keep the seed's per-dequeue random draw. Batched dequeue is the
-// ring mailbox's job.
-func (m *lockMailbox) takeN(buf []Envelope, max int) ([]Envelope, bool) {
-	e, ok := m.takeOne()
-	if !ok {
-		return buf, false
-	}
-	return append(buf, e), true
-}
-
 func (m *lockMailbox) close(discard bool) []Envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -334,7 +316,6 @@ func (m *lockMailbox) close(discard bool) []Envelope {
 		m.queue = nil
 		m.head = 0
 	}
-	m.notEmpty.Broadcast()
 	m.notFull.Broadcast()
 	return drained
 }

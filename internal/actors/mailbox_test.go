@@ -96,52 +96,51 @@ func TestBoundedMailboxPoisonPillBypassesCap(t *testing.T) {
 }
 
 // TestLockMailboxWaiterCounters pins the signal-only-when-waiting fix: the
-// uncontended put/take path must never leave (or need) a waiter, so no
-// condvar wake is issued unless someone is actually blocked.
+// uncontended put/drain path leaves no waiter registered, so no condvar wake
+// is issued unless a bounded sender is actually blocked; a blocked sender
+// registers, and exactly one dequeue releases it.
 func TestLockMailboxWaiterCounters(t *testing.T) {
 	m := newLockMailbox(nil, 2, 0, MailboxBlock, time.Millisecond)
 	for i := 0; i < 10; i++ {
 		if m.put(Envelope{Msg: i}, putWait) != putOK {
 			t.Fatal("put refused")
 		}
-		if _, ok := m.tryTake(); !ok {
-			t.Fatal("tryTake empty")
+		if len(m.drain(nil, 1)) != 1 {
+			t.Fatal("drain empty")
 		}
 	}
 	m.mu.Lock()
-	tw, pw := m.takeWaiters, m.putWaiters
+	pw := m.putWaiters
 	m.mu.Unlock()
-	if tw != 0 || pw != 0 {
-		t.Fatalf("uncontended traffic left waiters: take=%d put=%d", tw, pw)
+	if pw != 0 {
+		t.Fatalf("uncontended traffic left waiters: put=%d", pw)
 	}
 
-	// A blocked taker registers, and exactly one put releases it.
-	woke := make(chan Envelope, 1)
-	go func() {
-		e, _ := m.takeOne()
-		woke <- e
-	}()
+	m.put(Envelope{Msg: 0}, putWait)
+	m.put(Envelope{Msg: 1}, putWait)
+	admitted := make(chan putResult, 1)
+	go func() { admitted <- m.put(Envelope{Msg: "x"}, putWait) }()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		m.mu.Lock()
-		tw = m.takeWaiters
+		pw = m.putWaiters
 		m.mu.Unlock()
-		if tw == 1 || time.Now().After(deadline) {
+		if pw == 1 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if tw != 1 {
-		t.Fatalf("blocked taker not counted: takeWaiters=%d", tw)
+	if pw != 1 {
+		t.Fatalf("blocked sender not counted: putWaiters=%d", pw)
 	}
-	m.put(Envelope{Msg: "x"}, putWait)
+	m.drain(nil, 1)
 	select {
-	case e := <-woke:
-		if e.Msg != "x" {
-			t.Fatalf("taker woke with %v", e.Msg)
+	case r := <-admitted:
+		if r != putOK {
+			t.Fatalf("released sender's put = %v", r)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("put with a registered taker did not wake it")
+		t.Fatal("a dequeue with a registered sender did not wake it")
 	}
 }
 
@@ -177,8 +176,8 @@ func TestBoundedOverflowAccounting(t *testing.T) {
 	// blocked sender, so the queue stays at the cap.
 	taken := 0
 	for taken < overflow/2 {
-		if _, ok := m.takeOne(); !ok {
-			t.Fatal("takeOne failed with senders pending")
+		if len(m.drain(nil, 1)) != 1 {
+			t.Fatal("drain empty with senders pending")
 		}
 		taken++
 	}

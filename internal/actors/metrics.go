@@ -39,11 +39,9 @@ func (s *System) RegisterMetrics(reg *metrics.Registry, prefix string) {
 		defer s.mu.Unlock()
 		return int64(len(s.actors))
 	})
-	if s.runq != nil {
-		reg.Gauge(prefix+".runqueue.depth", func() int64 {
-			return int64(s.runq.depth())
-		})
-	}
+	reg.Gauge(prefix+".runqueue.depth", func() int64 {
+		return int64(s.runq.depth())
+	})
 	// Conservation ledger (all zero unless Config.Obs is set; the latency
 	// histograms themselves live in the registry NewObs was built with).
 	reg.Gauge(prefix+".messages.enqueued", s.MessagesEnqueued)

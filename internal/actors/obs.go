@@ -26,8 +26,8 @@ import (
 type Obs struct {
 	// QueueWait is the mailbox residency time of each message: send-side
 	// enqueue to the moment the actor dequeues it. Includes scheduling
-	// delay (run-queue wait under Pooled dispatch, goroutine wakeup under
-	// Dedicated).
+	// delay: the actor's wait on the run queue for a worker, and the
+	// messages ahead of it in its own batch.
 	QueueWait *metrics.LatencyHistogram
 	// Handler is the behavior execution time of each message that reaches
 	// a behavior (injected panics skip the behavior and are not timed).

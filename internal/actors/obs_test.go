@@ -84,15 +84,15 @@ func TestObsDisabledLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// Conservation must hold under both dispatch modes with concurrent senders,
-// mid-run actor stops (draining queued messages), and post-stop sends.
+// Conservation must hold with concurrent senders, mid-run actor stops
+// (draining queued messages), and post-stop sends, on the ring mailbox
+// (with a wider pool than the default) and on the bounded lock mailbox.
 func TestConservationUnderChurn(t *testing.T) {
 	modes := []struct {
 		name string
 		cfg  Config
 	}{
-		{"dedicated", Config{}},
-		{"pooled", Config{Dispatcher: Pooled, PoolSize: 4}},
+		{"pooled", Config{PoolSize: 4}},
 		{"bounded", Config{MailboxCap: 8}},
 	}
 	for _, mode := range modes {
@@ -139,20 +139,12 @@ func TestConservationUnderChurn(t *testing.T) {
 
 func TestRunQueueDepthGauge(t *testing.T) {
 	reg := metrics.NewRegistry()
-	sys := NewSystem(Config{Dispatcher: Pooled, PoolSize: 2})
+	sys := NewSystem(Config{PoolSize: 2})
 	sys.RegisterMetrics(reg, "actors")
 	if _, ok := reg.Get("actors.runqueue.depth"); !ok {
-		t.Fatal("pooled system did not register runqueue depth gauge")
+		t.Fatal("system did not register runqueue depth gauge")
 	}
 	sys.Shutdown()
-
-	reg2 := metrics.NewRegistry()
-	sys2 := NewSystem(Config{})
-	sys2.RegisterMetrics(reg2, "actors")
-	if _, ok := reg2.Get("actors.runqueue.depth"); ok {
-		t.Fatal("dedicated system registered a runqueue gauge")
-	}
-	sys2.Shutdown()
 }
 
 // tellThroughputOnce runs one timed burst of parallel Tells and returns

@@ -10,11 +10,11 @@ import (
 // single-consumer queue. Senders reserve a global sequence number with one
 // fetch-add (their only point of contention), write their envelope into the
 // slot that number maps to, and publish it with an atomic flag — no mutex,
-// no condition variable, no allocation except one chunk per chunkSize
-// messages. The consumer drains published slots in sequence-number order
-// with plain loads, batching up to N envelopes per scheduling decision
-// (takeN), and parks on a 1-token channel only when the queue is truly
-// empty.
+// no condition variable, no allocation except one chunk per chunk's worth
+// of messages. The consumer — the worker holding the actor's schedule flag —
+// drains published slots in sequence-number order with plain loads, up to
+// N envelopes per head update (drain). It never waits: a send schedules the
+// actor after publishing, so an empty ring simply ends the worker's slice.
 //
 // Ordering: the reservation counter totally orders all sends, and a single
 // sender's sends are program-ordered, so per-sender FIFO holds — in fact
@@ -22,7 +22,8 @@ import (
 //
 // The ring is only used for unbounded, unperturbed mailboxes, so put never
 // blocks (see newMailbox for the fallback rules).
-// 64 slots ≈ 2.6KB per chunk (Envelope is 40 bytes): big enough that the
+//
+// 64 slots ≈ 4.3KB per chunk (Envelope is 64 bytes): big enough that the
 // per-chunk allocation + link amortizes to noise, small enough that a
 // short-lived or lightly-loaded actor doesn't carry a 10KB+ first chunk.
 const (
@@ -67,11 +68,6 @@ type ringMailbox struct {
 	// ahead of any unconsumed sequence number).
 	headChunk atomic.Pointer[chunk]
 	_         [48]byte
-	// waiting + wake implement consumer parking: the consumer sets waiting
-	// and re-checks before blocking on wake; a sender that turns the flag
-	// off owes exactly one token.
-	waiting atomic.Bool
-	wake    chan struct{}
 	// closedTail is the tail count frozen at the instant close() set the
 	// closed bit — the drain horizon. Reservations at or beyond it are the
 	// voided fetch-adds of senders that were told "closed"; reservations
@@ -99,7 +95,7 @@ func (m *ringMailbox) tail() uint64 {
 // chunk — spawn stays cheap for large mostly-idle populations. sample is
 // the latency sampling rate from newMailbox (0 = off, else a power of two).
 func newRingMailbox(sample uint64) *ringMailbox {
-	return &ringMailbox{wake: make(chan struct{}, 1), sample: sample}
+	return &ringMailbox{sample: sample}
 }
 
 func (m *ringMailbox) put(e Envelope, mode putMode) putResult {
@@ -124,20 +120,7 @@ func (m *ringMailbox) put(e Envelope, mode putMode) putResult {
 	i := seq & chunkMask
 	c.slots[i] = e
 	c.ready[i].Store(true)
-	m.wakeConsumer()
 	return putOK
-}
-
-// wakeConsumer hands the parked consumer its token, if there is one. The
-// CAS makes the wake single-shot: of all concurrent senders exactly one
-// pays the channel send.
-func (m *ringMailbox) wakeConsumer() {
-	if m.waiting.Load() && m.waiting.CompareAndSwap(true, false) {
-		select {
-		case m.wake <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // chunkFor returns the chunk containing sequence number seq, allocating
@@ -181,73 +164,6 @@ func (m *ringMailbox) chunkFor(seq uint64) *chunk {
 	return c
 }
 
-func (m *ringMailbox) tryTake() (Envelope, bool) {
-	h := m.head.Load()
-	if h >= m.tail() {
-		return Envelope{}, false
-	}
-	c := m.headChunk.Load()
-	if c == nil {
-		// A sender reserved seq 0 but has not installed chunk 0 yet.
-		return Envelope{}, false
-	}
-	if h >= c.start+chunkSize {
-		// The chunk is fully consumed; its successor exists unless the
-		// reserving sender is still mid-allocation — treat that instant as
-		// empty, the sender's publish will wake/reschedule us.
-		next := c.next.Load()
-		if next == nil {
-			return Envelope{}, false
-		}
-		m.headChunk.Store(next)
-		c = next
-	}
-	i := h & chunkMask
-	if !c.ready[i].Load() {
-		// Reserved but not yet published; the sender is between its CAS
-		// and its ready.Store. Do not skip ahead — sequence order is the
-		// FIFO guarantee.
-		return Envelope{}, false
-	}
-	e := c.slots[i]
-	c.slots[i] = Envelope{} // release references for the GC
-	m.head.Store(h + 1)
-	return e, true
-}
-
-func (m *ringMailbox) takeN(buf []Envelope, max int) ([]Envelope, bool) {
-	n := len(buf)
-	for {
-		buf = m.drain(buf, max)
-		if len(buf) > n {
-			return buf, true
-		}
-		if m.state.Load()&ringClosed != 0 && m.head.Load() >= m.closedTail.Load() {
-			return buf, false
-		}
-		// Two-phase park: declare intent, re-check, then block. A sender
-		// that published between the re-check and the block sees waiting
-		// set and sends the token; a stale token from an earlier race at
-		// worst costs one spurious loop iteration.
-		m.waiting.Store(true)
-		if m.available() || m.state.Load()&ringClosed != 0 {
-			m.waiting.Store(false)
-			continue
-		}
-		if m.head.Load() < m.tail() {
-			// A sender holds a reservation it has not published yet. That
-			// window is nanoseconds — at worst a sampled send's clock read —
-			// so spinning across it beats a park/wake round trip, which
-			// would otherwise stall the strictly-ordered consumer on every
-			// sampled message. close()'s drain uses the same idiom.
-			m.waiting.Store(false)
-			runtime.Gosched()
-			continue
-		}
-		<-m.wake
-	}
-}
-
 // drain appends up to max published envelopes to buf with one head update
 // for the whole batch — the "N envelopes per atomic handoff" half of the
 // fast path (the other half being senders' single-CAS reservation).
@@ -269,7 +185,7 @@ func (m *ringMailbox) drain(buf []Envelope, max int) []Envelope {
 		if h >= c.start+chunkSize {
 			next := c.next.Load()
 			if next == nil {
-				break // successor mid-allocation; sender will wake us
+				break // successor mid-allocation; the sender reschedules us
 			}
 			m.headChunk.Store(next)
 			c = next
@@ -288,25 +204,6 @@ func (m *ringMailbox) drain(buf []Envelope, max int) []Envelope {
 	return buf
 }
 
-// available reports whether the next slot in sequence is published.
-func (m *ringMailbox) available() bool {
-	h := m.head.Load()
-	if h >= m.tail() {
-		return false
-	}
-	c := m.headChunk.Load()
-	if c == nil {
-		return false
-	}
-	if h >= c.start+chunkSize {
-		c = c.next.Load()
-		if c == nil {
-			return false
-		}
-	}
-	return c.ready[h&chunkMask].Load()
-}
-
 func (m *ringMailbox) close(discard bool) []Envelope {
 	for {
 		s := m.state.Load()
@@ -320,14 +217,6 @@ func (m *ringMailbox) close(discard bool) []Envelope {
 			break
 		}
 	}
-	// Wake a parked consumer (no-op when close runs on the consumer, the
-	// usual case: the owning goroutine's teardown).
-	if m.waiting.CompareAndSwap(true, false) {
-		select {
-		case m.wake <- struct{}{}:
-		default:
-		}
-	}
 	if !discard {
 		return nil
 	}
@@ -336,13 +225,11 @@ func (m *ringMailbox) close(discard bool) []Envelope {
 	// reserve and publish — so spin across the gap.
 	tail := m.closedTail.Load()
 	var drained []Envelope
-	for m.head.Load() < tail {
-		e, ok := m.tryTake()
-		if !ok {
+	for h := m.head.Load(); h < tail; h = m.head.Load() {
+		n := len(drained)
+		if drained = m.drain(drained, int(tail-h)); len(drained) == n {
 			runtime.Gosched()
-			continue
 		}
-		drained = append(drained, e)
 	}
 	return drained
 }

@@ -1,8 +1,8 @@
 package actors
 
 import (
-	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,9 +60,9 @@ func TestRingMailboxFIFOAndCounting(t *testing.T) {
 	got := 0
 	var buf []Envelope
 	for got < senders*perSender {
-		batch, ok := m.takeN(buf[:0], 64)
-		if !ok {
-			t.Fatal("mailbox closed unexpectedly")
+		batch := m.drain(buf[:0], 64)
+		if len(batch) == 0 {
+			runtime.Gosched() // a worker would end its slice here
 		}
 		for _, e := range batch {
 			msg := e.Msg.(tagged)
@@ -78,8 +78,8 @@ func TestRingMailboxFIFOAndCounting(t *testing.T) {
 	if m.size() != 0 {
 		t.Fatalf("drained mailbox reports size %d", m.size())
 	}
-	if _, ok := m.tryTake(); ok {
-		t.Fatal("tryTake on a drained mailbox returned an envelope")
+	if len(m.drain(nil, 64)) != 0 {
+		t.Fatal("drain on a drained mailbox returned envelopes")
 	}
 }
 
@@ -108,9 +108,9 @@ func TestRingMailboxCloseAccounting(t *testing.T) {
 		consumed := 0
 		var buf []Envelope
 		for consumed < 700 {
-			batch, ok := m.takeN(buf[:0], 32)
-			if !ok {
-				t.Fatal("closed before close() was called")
+			batch := m.drain(buf[:0], 32)
+			if len(batch) == 0 {
+				runtime.Gosched()
 			}
 			consumed += len(batch)
 		}
@@ -141,21 +141,17 @@ func TestRingMailboxChunkBoundaries(t *testing.T) {
 		}
 		// Lag the consumer by a chunk so boundaries stay in play.
 		if i >= chunkSize {
-			e, ok := m.tryTake()
-			if !ok {
-				t.Fatalf("tryTake empty with %d queued", m.size())
+			batch := m.drain(nil, 1)
+			if len(batch) != 1 {
+				t.Fatalf("drain empty with %d queued", m.size())
 			}
-			if e.Msg.(int) != next {
-				t.Fatalf("got %d, want %d", e.Msg.(int), next)
+			if batch[0].Msg.(int) != next {
+				t.Fatalf("got %d, want %d", batch[0].Msg.(int), next)
 			}
 			next++
 		}
 	}
-	for {
-		e, ok := m.tryTake()
-		if !ok {
-			break
-		}
+	for _, e := range m.drain(nil, total) {
 		if e.Msg.(int) != next {
 			t.Fatalf("got %d, want %d", e.Msg.(int), next)
 		}
@@ -166,59 +162,20 @@ func TestRingMailboxChunkBoundaries(t *testing.T) {
 	}
 }
 
-// TestRingMailboxBlockingTake checks the park/wake protocol: a consumer
-// blocked in takeN is woken by a later put and by close.
-func TestRingMailboxBlockingTake(t *testing.T) {
-	m := newRingMailbox(0)
-	got := make(chan any, 1)
-	go func() {
-		batch, ok := m.takeN(nil, 8)
-		if !ok || len(batch) != 1 {
-			got <- fmt.Errorf("takeN = %d envelopes, ok=%v", len(batch), ok)
-			return
-		}
-		got <- batch[0].Msg
-	}()
-	time.Sleep(20 * time.Millisecond) // let the consumer park
-	m.put(Envelope{Msg: "wake"}, putWait)
-	select {
-	case v := <-got:
-		if v != "wake" {
-			t.Fatalf("woke with %v", v)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("parked consumer never woke on put")
-	}
-
-	closed := make(chan struct{})
-	go func() {
-		if _, ok := m.takeN(nil, 8); ok {
-			t.Error("takeN returned ok on an empty closed mailbox")
-		}
-		close(closed)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	m.close(false)
-	select {
-	case <-closed:
-	case <-time.After(2 * time.Second):
-		t.Fatal("parked consumer never woke on close")
-	}
-}
-
 // --- System-level stress: the full delivery contract on the fast path ---
 
 // TestSystemStressFIFOPerSender floods one actor from many senders through
-// the real Tell path (ring mailbox, dedicated dispatch) and asserts
+// the real Tell path (ring mailbox, default pool) and asserts
 // per-sender FIFO plus exact counting at the behavior level.
 func TestSystemStressFIFOPerSender(t *testing.T) {
 	testSystemStressFIFO(t, Config{})
 }
 
-// TestSystemStressFIFOPerSenderPooled is the same contract under Pooled
-// dispatch: batched worker slices must not reorder or drop envelopes.
+// TestSystemStressFIFOPerSenderPooled is the same contract on one worker
+// with short slices: an actor that yields and is re-queued every 8 messages
+// must not reorder or drop envelopes.
 func TestSystemStressFIFOPerSenderPooled(t *testing.T) {
-	testSystemStressFIFO(t, Config{Dispatcher: Pooled})
+	testSystemStressFIFO(t, Config{PoolSize: 1, Throughput: 8})
 }
 
 // TestSystemStressFIFOPerSenderBounded is the same contract through the

@@ -243,20 +243,22 @@ func (spec *SupervisorSpec) backoffFor(n int) time.Duration {
 }
 
 // onChildFailure decides what to do about a panicking child. It is invoked
-// on the failing child's goroutine; the returned delay is slept there.
-func (sup *Supervisor) onChildFailure(ref *Ref, reason any) (restart bool, delay time.Duration) {
+// on the worker running the failing child. After the backoff delay the
+// child runs escalation (if non-nil), then restarts in place if restart is
+// set and stops otherwise (System.superviseFailure).
+func (sup *Supervisor) onChildFailure(ref *Ref, reason any) (restart bool, delay time.Duration, escalation func()) {
 	sup.mu.Lock()
 	entry := sup.entryForLocked(ref)
 	if entry == nil {
 		// Unknown incarnation (already superseded): let it die quietly.
 		sup.mu.Unlock()
-		return false, 0
+		return false, 0, nil
 	}
 	if entry.restarts >= sup.spec.MaxRestarts {
 		entry.alive = false
 		sup.mu.Unlock()
-		sup.escalate(ref, reason)
-		return false, 0
+		delay, escalation = sup.escalate(ref, reason)
+		return false, delay, escalation
 	}
 	entry.restarts++
 	delay = sup.spec.backoffFor(entry.restarts)
@@ -272,7 +274,7 @@ func (sup *Supervisor) onChildFailure(ref *Ref, reason any) (restart bool, delay
 	for _, e := range siblings {
 		sup.forceRestart(e, reason)
 	}
-	return true, delay
+	return true, delay, nil
 }
 
 // entryForLocked finds the child entry whose current incarnation is ref.
@@ -347,36 +349,35 @@ func (sup *Supervisor) restartGroup(reason any) {
 // escalate hands an exhausted child failure to the parent supervisor. The
 // parent applies its own strategy, treating this supervisor as the failing
 // child: within budget it restarts the whole group (respawning the dead
-// child); out of budget it escalates further. A root supervisor only emits
+// child) — returned as groupRestart, to run after the parent's backoff
+// delay; out of budget it escalates further. A root supervisor only emits
 // the event — the child stays stopped.
-func (sup *Supervisor) escalate(ref *Ref, reason any) {
+func (sup *Supervisor) escalate(ref *Ref, reason any) (delay time.Duration, groupRestart func()) {
 	sup.sys.emitLifecycle(sup, LifecycleEvent{Kind: LifecycleEscalated, Ref: ref, Reason: reason})
 	parent := sup.parent
 	if parent == nil {
-		return
+		return 0, nil
 	}
 	parent.mu.Lock()
 	entry := parent.children[sup.name]
 	if entry == nil {
 		parent.mu.Unlock()
-		return
+		return 0, nil
 	}
 	if entry.restarts >= parent.spec.MaxRestarts {
 		parent.mu.Unlock()
-		parent.escalate(ref, reason)
-		return
+		return parent.escalate(ref, reason)
 	}
 	entry.restarts++
-	delay := parent.spec.backoffFor(entry.restarts)
+	delay = parent.spec.backoffFor(entry.restarts)
 	parent.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	switch parent.spec.Strategy {
-	case AllForOne:
-		parent.restartGroup(reason)
-	default:
-		sup.restartGroup(reason)
+	return delay, func() {
+		switch parent.spec.Strategy {
+		case AllForOne:
+			parent.restartGroup(reason)
+		default:
+			sup.restartGroup(reason)
+		}
 	}
 }
 

@@ -37,6 +37,10 @@ type Ref struct {
 	// actor: the one message it accepts lands there (see askCtx and
 	// System.fillSlot).
 	slot *replySlot
+
+	// cell is the local actor this Ref names (nil for proxies and reply
+	// slots), so a send reaches the mailbox without a System.actors lookup.
+	cell *cell
 }
 
 // Name returns the actor's registered name.
@@ -163,17 +167,14 @@ type Config struct {
 	// (Started, Restarted, Stopped, Escalated) for every supervised actor,
 	// in addition to any per-supervisor OnEvent hook.
 	OnLifecycle func(ev LifecycleEvent)
-	// Dispatcher selects how mailboxes are driven: Dedicated (default) runs
-	// one goroutine per actor; Pooled multiplexes all actors onto PoolSize
-	// workers so idle actors cost no goroutine (see dispatch.go).
-	Dispatcher DispatchMode
-	// PoolSize is the number of worker goroutines under Pooled dispatch
-	// (default runtime.GOMAXPROCS(0)). Ignored under Dedicated dispatch.
+	// PoolSize is the number of worker goroutines every actor runs on
+	// (default runtime.GOMAXPROCS(0)); idle actors cost no goroutine (see
+	// dispatch.go).
 	PoolSize int
 	// Throughput bounds how many messages an actor processes per
-	// scheduling slice: the batch size of a dedicated actor's mailbox
-	// drain, and the fairness quantum after which a pooled actor yields
-	// its worker (default 64).
+	// scheduling slice: the fairness quantum after which it yields its
+	// worker, and the largest batch drained from its mailbox at once
+	// (default 64).
 	Throughput int
 	// Obs, when non-nil, turns on hot-path latency instrumentation
 	// (sampled mailbox queue wait and handler time) and, with Obs.Conserve,
@@ -204,7 +205,7 @@ type System struct {
 	// slots holds the reply slots of asks still waiting (see slotTable).
 	slots slotTable
 
-	// Pooled dispatch state (nil/zero under Dedicated dispatch).
+	// The worker pool every actor runs on (dispatch.go).
 	runq     *runQueue
 	workerWG sync.WaitGroup
 
@@ -238,9 +239,20 @@ type cell struct {
 	ctx      *Context
 	done     chan struct{}
 
-	// sched is the cell's run-queue state under Pooled dispatch (cellIdle /
-	// cellScheduled); unused under Dedicated dispatch.
+	// sched is the cell's run-queue state (cellIdle / cellScheduled).
 	sched atomic.Int32
+
+	// gone is set by teardown before the mailbox closes: sends that see it
+	// deadletter as DLDead, like sends to an unknown actor.
+	gone atomic.Bool
+
+	// held, resume and backoff carry a cell across a restart backoff
+	// (System.park): the messages already dequeued when the actor parked,
+	// the supervision directive to finish before they run, and the delay.
+	// Only the worker holding the schedule flag touches them.
+	held    []Envelope
+	resume  func() bool
+	backoff time.Duration
 
 	// obsTick counts processed messages for handler latency sampling. A
 	// plain field: only the single consumer touches it (same publication
@@ -248,7 +260,7 @@ type cell struct {
 	obsTick uint64
 
 	// gen counts Become calls since the last (re)start: the behavior
-	// generation. Only the consumer goroutine touches it (same publication
+	// generation. Only the consumer touches it (same publication
 	// rules as behavior above). A restart resets it to zero — the factory
 	// reinstalls the initial behavior — which is exactly the rollback the
 	// stale-behavior detector watches for.
@@ -307,16 +319,14 @@ func NewSystem(cfg Config) *System {
 		s.obsMask = s.obsSample - 1
 		s.conserve = o.Conserve
 	}
-	if cfg.Dispatcher == Pooled {
-		workers := cfg.PoolSize
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		s.runq = newRunQueue()
-		s.workerWG.Add(workers)
-		for i := 0; i < workers; i++ {
-			go s.worker()
-		}
+	workers := cfg.PoolSize
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	s.runq = &runQueue{}
+	s.workerWG.Add(workers)
+	for i := 0; i < workers; i++ {
+		go s.worker()
 	}
 	return s
 }
@@ -356,16 +366,12 @@ func (s *System) spawn(name string, b Behavior, sup *Supervisor, factory func() 
 		factory:  factory,
 	}
 	c.ctx = &Context{system: s, self: ref, cell: c}
+	ref.cell = c
 	s.actors[id] = c
 	s.wg.Add(1)
 	s.mu.Unlock()
-
-	// Dedicated dispatch starts the actor's goroutine now; under Pooled
-	// dispatch the actor costs nothing until its first message schedules it
+	// The actor costs nothing more until its first message schedules it
 	// onto a worker.
-	if s.runq == nil {
-		go s.runDedicated(c)
-	}
 	return ref, nil
 }
 
@@ -378,46 +384,55 @@ func (s *System) MustSpawn(name string, b Behavior) *Ref {
 	return ref
 }
 
-// teardown finalizes a terminated actor: it leaves the system's routing
-// table, its queued messages become deadletters, its supervisor learns of
-// the exit, and waiters (Await, Shutdown) are released. Called exactly once
-// per cell, by whichever goroutine (dedicated or pooled worker) observed
-// the exit; under Pooled dispatch the cell's schedule flag is still held,
+// teardown finalizes a terminated actor: it stops accepting sends, its
+// unprocessed messages (rest, already dequeued, then whatever is still
+// queued) become deadletters, its supervisor learns of the exit, and
+// waiters (Await, Shutdown) are released. Called exactly once per cell, by
+// the worker that observed the exit while holding the cell's schedule flag,
 // so no other worker can be touching the mailbox.
-func (s *System) teardown(c *cell) {
+func (s *System) teardown(c *cell, rest []Envelope) {
+	c.gone.Store(true)
 	s.mu.Lock()
 	delete(s.actors, c.ref.id)
 	s.mu.Unlock()
-	for _, e := range c.mbox.close(true) {
-		if s.conserve && !isControl(e.Msg) {
-			s.drained.Add(1)
+	for _, batch := range [][]Envelope{rest, c.mbox.close(true)} {
+		for _, e := range batch {
+			if s.conserve && !isControl(e.Msg) {
+				s.drained.Add(1)
+			}
+			s.deadletterKind(c.ref, e, DLClosed)
 		}
-		s.deadletterKind(c.ref, e, DLClosed)
 	}
 	if c.sup != nil {
 		c.sup.childExited(c.ref)
 	}
+	// A Ref outlives its actor and holds the cell, whose gone flag and
+	// mailbox later sends still read. Drop what nothing reads after exit,
+	// so a stale Ref keeps neither the behavior's state nor, through the
+	// last sender, other dead actors reachable.
+	c.behavior, c.factory, c.held, c.resume = nil, nil, nil, nil
+	c.ctx.sender = nil
 	close(c.done)
 	s.wg.Done()
 }
 
 // processOne delivers a single envelope to the actor: control messages,
 // receive/behavior fault-injection sites, trace recording, the behavior
-// call, and panic/supervision handling. It reports whether the actor must
-// exit (the caller then runs teardown). Both dispatch modes funnel every
-// message through here, so the delivery contract is mode-independent.
-func (s *System) processOne(c *cell, e Envelope) (exit bool) {
+// call, and panic/supervision handling. It reports what becomes of the
+// actor: it goes on, exits (the caller then runs teardown), or parks for a
+// restart backoff.
+func (s *System) processOne(c *cell, e Envelope) step {
 	ctx := c.ctx
 	switch m := e.Msg.(type) {
 	case stopMsg:
 		s.emitStopped(c, nil)
-		return true
+		return stepExit
 	case restartMsg:
 		// Forced restart (all-for-one sibling, or subtree restart on
 		// escalation). Takes effect after the messages that were queued
 		// ahead of it; it does not count against the child's own budget.
 		s.restart(c, m.reason)
-		return false
+		return stepNext
 	}
 	obs := s.cfg.Obs
 	var timeHandler bool
@@ -426,8 +441,8 @@ func (s *System) processOne(c *cell, e Envelope) (exit bool) {
 			s.dequeued.Add(1)
 		}
 		// The handler sampling tick is a plain field: processOne is
-		// single-consumer per cell (dedicated goroutine, or the pooled
-		// worker holding the schedule slot), so no atomic is needed.
+		// single-consumer per cell (the worker holding the schedule flag),
+		// so no atomic is needed.
 		timeHandler = c.obsTick&s.obsMask == 0
 		c.obsTick++
 		if e.enqueuedAt != 0 {
@@ -494,16 +509,16 @@ func (s *System) processOne(c *cell, e Envelope) (exit bool) {
 		if c.sup == nil {
 			// Unsupervised: the actor dies, the process lives.
 			s.emitStopped(c, reason)
-			return true
+			return stepExit
 		}
-		return !s.superviseFailure(c, reason)
+		return s.superviseFailure(c, reason)
 	}
 	s.processed.Add(1)
 	if ctx.stopped {
 		s.emitStopped(c, nil)
-		return true
+		return stepExit
 	}
-	return false
+	return stepNext
 }
 
 // invoke runs one behavior call, trapping panics. It reports whether the
@@ -524,22 +539,34 @@ func (s *System) invoke(c *cell, ctx *Context, msg any) (panicked bool, recovere
 }
 
 // superviseFailure consults the cell's supervisor about a panic and applies
-// the directive in the actor's own goroutine (so backoff sleeps never block
-// the supervisor or siblings). It reports whether the actor keeps running.
-// Under Pooled dispatch the backoff sleep occupies the worker running the
-// slice — bounded by SupervisorSpec.MaxBackoff; size the pool accordingly
-// when combining Pooled dispatch with large restart backoffs.
-func (s *System) superviseFailure(c *cell, reason any) bool {
-	restart, delay := c.sup.onChildFailure(c.ref, reason)
-	if !restart {
-		s.emitStopped(c, reason)
-		return false
+// the directive: restart in place, or stop after an escalation has run.
+// A directive with a backoff parks the cell instead of sleeping on the
+// worker, so neither the supervisor, the siblings nor any other actor
+// waits for it: superviseFailure records the delay and the directive, and
+// runSlice starts the timer once it has set the unprocessed batch aside.
+// The directive finishes when the timer re-queues the cell.
+func (s *System) superviseFailure(c *cell, reason any) step {
+	restart, delay, escalation := c.sup.onChildFailure(c.ref, reason)
+	finish := func() bool {
+		if escalation != nil {
+			escalation()
+		}
+		if !restart {
+			s.emitStopped(c, reason)
+			return false
+		}
+		s.restart(c, reason)
+		return true
 	}
-	if delay > 0 {
-		time.Sleep(delay)
+	switch {
+	case delay > 0:
+		c.resume, c.backoff = finish, delay
+		return stepPark
+	case finish():
+		return stepNext
+	default:
+		return stepExit
 	}
-	s.restart(c, reason)
-	return true
 }
 
 // restart resets the cell's behavior from its factory and emits the
@@ -711,17 +738,26 @@ func (s *System) sendMode(to *Ref, e Envelope, mode putMode) deliverStatus {
 	if to.slot != nil {
 		return s.fillSlot(to, e, ctrl)
 	}
-	s.mu.Lock()
-	c, ok := s.actors[to.id]
-	s.mu.Unlock()
-	if !ok {
+	c := to.cell
+	if c.gone.Load() {
 		s.deadletterKind(to, e, DLDead)
 		return statusDead
 	}
 	if ctrl {
 		mode = putForce
 	}
-	switch c.mbox.put(e, mode) {
+	res := c.mbox.put(e, mode)
+	if res == putFull {
+		// Managed blocking: the sending behavior's worker hands its slot to
+		// a spare for the wait, so a pool of any size keeps running the
+		// consumer being waited on. e.Sender is the sending actor, whose
+		// system owns that worker.
+		pool := e.Sender.sys
+		pool.startSpare()
+		res = c.mbox.put(e, putWait)
+		pool.runq.retireOne()
+	}
+	switch res {
 	case putClosed:
 		s.deadletterKind(to, e, DLClosed)
 		return statusDead
@@ -736,8 +772,7 @@ func (s *System) sendMode(to *Ref, e Envelope, mode putMode) deliverStatus {
 	if s.conserve && !ctrl {
 		s.enqueued.Add(1)
 	}
-	// Pooled dispatch: the message is in the mailbox, make sure a worker
-	// will visit the actor (no-op under Dedicated dispatch).
+	// The message is in the mailbox: make sure a worker will visit the actor.
 	s.schedule(c)
 	return statusDelivered
 }
@@ -802,14 +837,6 @@ func (k DeadLetterKind) String() string {
 	default:
 		return fmt.Sprintf("DeadLetterKind(%d)", int(k))
 	}
-}
-
-func (s *System) deadletter(to *Ref, e Envelope) {
-	kind := DLDead
-	if to == nil {
-		kind = DLNoRecipient
-	}
-	s.deadletterKind(to, e, kind)
 }
 
 func (s *System) deadletterKind(to *Ref, e Envelope, kind DeadLetterKind) {
@@ -915,8 +942,8 @@ func (s *System) FaultsInjected() int64 { return s.injected.Load() }
 func (s *System) Restarts() int64 { return s.restarts.Load() }
 
 // Shutdown stops every actor (poison pill after queued messages) and waits
-// for all of them to terminate, then retires the worker pool if Pooled
-// dispatch is active. The system accepts no further Spawns.
+// for all of them to terminate, then retires the worker pool. The system
+// accepts no further Spawns.
 func (s *System) Shutdown() {
 	s.mu.Lock()
 	if s.stopped.Load() {
@@ -945,13 +972,9 @@ func (s *System) Shutdown() {
 	s.stopPool()
 }
 
-// stopPool drains and stops the Pooled dispatch workers. Idempotent; no-op
-// under Dedicated dispatch. Only called after every actor has terminated,
-// so the run queue can hold no live work.
+// stopPool stops the workers. Idempotent. Only called after every actor has
+// terminated, so the run queue can hold no live work.
 func (s *System) stopPool() {
-	if s.runq == nil {
-		return
-	}
 	s.runq.close()
 	s.workerWG.Wait()
 }
@@ -986,7 +1009,9 @@ func (c *Context) System() *System { return c.system }
 // Send sends msg to to, recording this actor as the sender. When the
 // message being processed is traced, the send continues its trace as a
 // child span (the next hop); when it is not, the send is marked untraced so
-// no trace can begin mid-protocol.
+// no trace can begin mid-protocol. A send that must wait on a full
+// MailboxBlock mailbox hands this actor's worker slot to a spare worker for
+// the wait (see sendMode).
 func (c *Context) Send(to *Ref, msg any) {
 	if to == nil || to.sys == nil {
 		return
@@ -997,7 +1022,7 @@ func (c *Context) Send(to *Ref, msg any) {
 			e.Span = tr.Child(c.span, to.name, fmt.Sprintf("%T", msg), trace.SpanNow())
 		}
 	}
-	to.sys.deliver(to, e)
+	to.sys.sendMode(to, e, putManaged)
 }
 
 // Span returns the trace span riding the message being processed, nil when
@@ -1019,7 +1044,7 @@ func (c *Context) TakeSpan() *trace.Span {
 // if the sender was not recorded.
 func (c *Context) Reply(msg any) {
 	if c.sender == nil {
-		c.system.deadletter(nil, Envelope{Msg: msg, Sender: c.self})
+		c.system.deadletterKind(nil, Envelope{Msg: msg, Sender: c.self}, DLNoRecipient)
 		return
 	}
 	c.Send(c.sender, msg)
