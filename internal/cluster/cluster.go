@@ -179,6 +179,9 @@ type Cluster struct {
 	// Cleared wholesale on quorum loss, so a rejoining node restarts its
 	// grace even for shards it owned before the partition.
 	shardSince map[int]time.Time
+	// reconciled is the view the last sweep deposed grains and kept the
+	// shardSince ledger under; nil forces the next sweep to redo both.
+	reconciled *view
 	closed     bool
 
 	activations  atomic.Int64
@@ -329,13 +332,14 @@ func (c *Cluster) route(ge GrainEnvelope, sender *actors.Ref, sp *trace.Span) ac
 		return actors.ProxyUnreachable
 	}
 	shard := shardOf(ge.Grain, c.cfg.Shards)
-	owner, state, ok := c.mem.ownerOf(shard)
+	v := c.mem.load()
+	sv := v.shards[shard]
 	switch {
-	case !ok:
+	case sv.owner == "":
 		// No live candidate at all — park until membership recovers.
 		return c.park(shard, ge, sender, sp)
-	case owner == c.addr:
-		if !c.mem.quorate() {
+	case sv.mine:
+		if !v.quorate {
 			// Fenced: we may own this shard on paper, but without a quorum
 			// of live peers we might be the minority side of a partition
 			// whose majority is already re-homing it.
@@ -351,7 +355,7 @@ func (c *Cluster) route(ge GrainEnvelope, sender *actors.Ref, sp *trace.Span) ac
 		g.last.Store(time.Now().UnixNano())
 		g.ref.TellSpan(sender, ge.Msg, sp)
 		return actors.ProxyDelivered
-	case state == StateSuspect:
+	case sv.state == StateSuspect:
 		// The owner is wobbling: its link died but the grace period still
 		// runs. Forwarding would feed a dead link; park instead, and the
 		// janitor redelivers when the owner revives or its shards move.
@@ -369,7 +373,7 @@ func (c *Cluster) route(ge GrainEnvelope, sender *actors.Ref, sp *trace.Span) ac
 			return actors.ProxyMoving
 		}
 		ge.Hops++
-		st := c.node.Forward(owner, RouterName, actors.Envelope{Msg: ge, Span: sp})
+		st := c.node.Forward(sv.owner, RouterName, actors.Envelope{Msg: ge, Span: sp})
 		if st == actors.ProxyDelivered {
 			c.forwards.Add(1)
 		}
@@ -392,8 +396,7 @@ func (c *Cluster) routeInbound(ctx *actors.Context, msg any) {
 	}
 	var sender *actors.Ref
 	if ge.FromID != 0 && ge.FromAddr != "" {
-		display := fmt.Sprintf("%s@%s", ge.FromName, ge.FromAddr)
-		sender = c.node.RefByID(ge.FromAddr, ge.FromID, display)
+		sender = c.node.RefByID(ge.FromAddr, ge.FromID, ge.FromName+"@"+ge.FromAddr)
 	}
 	// Take ownership of the span so processOne does not seal it when this
 	// handler returns: routing is a relay, and the span belongs to the
@@ -409,12 +412,19 @@ func (c *Cluster) routeInbound(ctx *actors.Context, msg any) {
 }
 
 // activate returns the live local activation of name, creating it if
-// needed. Ownership is re-checked under the grain lock so activation
-// serializes against the janitor's deactivation sweep: between the caller's
-// resolve and this lock the shard may have moved, in which case the message
-// must park (ProxyMoving), not spawn a zombie. A factory refusal is
-// permanent (ProxyUnreachable).
+// needed. A live grain is served under the read lock. Creation takes the
+// write lock and re-checks ownership under it, so activation serializes
+// against the janitor's deactivation sweep: between the caller's resolve and
+// this lock the shard may have moved, in which case the message must park
+// (ProxyMoving), not spawn a zombie. A factory refusal is permanent
+// (ProxyUnreachable).
 func (c *Cluster) activate(name string, shard int) (*grain, actors.ProxyStatus) {
+	c.gmu.RLock()
+	g, ok := c.grains[name] // Close empties the table, so no closed check here
+	c.gmu.RUnlock()
+	if ok && !g.deposed.Load() {
+		return g, actors.ProxyDelivered
+	}
 	c.gmu.Lock()
 	defer c.gmu.Unlock()
 	if c.closed {
@@ -423,7 +433,8 @@ func (c *Cluster) activate(name string, shard int) (*grain, actors.ProxyStatus) 
 	if g, ok := c.grains[name]; ok && !g.deposed.Load() {
 		return g, actors.ProxyDelivered
 	}
-	if !c.mayHost(shard) || !c.mem.acknowledged() {
+	v := c.mem.load()
+	if !v.hosts(shard) || !v.acked {
 		return nil, actors.ProxyMoving
 	}
 	// Fencing grace: a shard this node only just gained (per the sweep's
@@ -436,7 +447,7 @@ func (c *Cluster) activate(name string, shard int) (*grain, actors.ProxyStatus) 
 	if beh == nil {
 		return nil, actors.ProxyUnreachable
 	}
-	g := &grain{shard: shard, epoch: c.mem.epochNow()}
+	g = &grain{shard: shard, epoch: v.epoch}
 	g.last.Store(time.Now().UnixNano())
 	wrapped := func(ctx *actors.Context, msg any) {
 		if g.deposed.Load() || !c.mayHost(shard) {
@@ -462,10 +473,7 @@ func (c *Cluster) activate(name string, shard int) (*grain, actors.ProxyStatus) 
 
 // mayHost reports whether this node may run grains of shard now: it is
 // quorate and its current view assigns it the shard.
-func (c *Cluster) mayHost(shard int) bool {
-	owner, _, ok := c.mem.ownerOf(shard)
-	return ok && owner == c.addr && c.mem.quorate()
-}
+func (c *Cluster) mayHost(shard int) bool { return c.mem.load().hosts(shard) }
 
 // deposeAll fences every local activation and restarts the activation
 // grace of every shard. It runs when this node learns it was declared dead:
@@ -478,6 +486,7 @@ func (c *Cluster) deposeAll() {
 		c.handoffsOut.Add(1)
 	}
 	c.shardSince = map[int]time.Time{}
+	c.reconciled = nil
 }
 
 // deposeIfActive fences a local activation the ring has moved elsewhere.
@@ -592,7 +601,10 @@ func (c *Cluster) janitor() {
 // sweep reconciles local state with the current membership view: grains on
 // shards this node no longer owns (or may no longer host, quorum-wise) are
 // deposed and stopped; parked messages whose shard has a live owner again
-// are redelivered; idle grains passivate.
+// are redelivered; idle grains passivate. A sweep under the view it last
+// reconciled, with passivation off and nothing parked, does no work: the
+// grains and the ledger already match that view, and activate creates
+// grains only where the view lets this node host them.
 func (c *Cluster) sweep(now time.Time) {
 	type flush struct {
 		shard   int
@@ -606,56 +618,23 @@ func (c *Cluster) sweep(now time.Time) {
 		c.gmu.Unlock()
 		return
 	}
-	hosting := c.mem.quorate()
-	acked := c.mem.acknowledged()
-	// Maintain the activation-grace ledger. Losing quorum wipes it: a node
-	// readmitted after a partition must re-earn the grace even for shards it
-	// held before, because the majority may have hosted them meanwhile.
-	if hosting {
-		owned := map[int]bool{}
-		for _, s := range c.mem.ownedShards() {
-			owned[s] = true
-			if _, ok := c.shardSince[s]; !ok {
-				c.shardSince[s] = now
-			}
-		}
-		for s := range c.shardSince {
-			if !owned[s] {
-				delete(c.shardSince, s)
-			}
-		}
-	} else if len(c.shardSince) > 0 {
-		c.shardSince = map[int]time.Time{}
-	}
-	for name, g := range c.grains {
-		owner, _, ok := c.mem.ownerOf(g.shard)
-		lost := !ok || owner != c.addr || !hosting
-		idle := c.cfg.PassivateAfter > 0 &&
-			now.Sub(time.Unix(0, g.last.Load())) >= c.cfg.PassivateAfter &&
-			c.sys.MailboxSize(g.ref) == 0
-		if !lost && !idle {
-			continue
-		}
-		c.deposeLocked(name, g)
-		if lost {
-			c.handoffsOut.Add(1)
-		} else {
-			c.passivations.Add(1)
-		}
+	v := c.mem.load()
+	if !v.sameRouting(c.reconciled) || c.cfg.PassivateAfter > 0 {
+		c.reconcileLocked(v, now)
 	}
 	for shard, q := range c.pending {
 		if len(q) == 0 {
 			delete(c.pending, shard)
 			continue
 		}
-		owner, state, ok := c.mem.ownerOf(shard)
-		ready := ok && state == StateAlive && owner != c.addr
-		if ok && owner == c.addr && hosting {
+		sv := v.shards[shard]
+		ready := sv.owner != "" && sv.state == StateAlive && !sv.mine
+		if v.hosts(shard) {
 			// Self-owned: hold the flush until the activation grace has
 			// passed and every peer acknowledged our incarnation, or the
 			// redelivery would just bounce back into the parking buffer.
 			since, have := c.shardSince[shard]
-			ready = have && acked && now.Sub(since) >= c.cfg.ActivationGrace
+			ready = have && v.acked && now.Sub(since) >= c.cfg.ActivationGrace
 		}
 		if !ready {
 			continue
@@ -685,6 +664,45 @@ func (c *Cluster) sweep(now time.Time) {
 			h.Observe(now.Sub(f.started))
 		}
 	}
+}
+
+// reconcileLocked brings the activation-grace ledger and the grain table in
+// line with v, passivates idle grains, and records v as reconciled. Callers
+// hold gmu.
+func (c *Cluster) reconcileLocked(v *view, now time.Time) {
+	// Maintain the activation-grace ledger. Losing quorum wipes it: a node
+	// readmitted after a partition must re-earn the grace even for shards it
+	// held before, because the majority may have hosted them meanwhile.
+	if v.quorate {
+		for s, sv := range v.shards {
+			if _, ok := c.shardSince[s]; sv.mine && !ok {
+				c.shardSince[s] = now
+			}
+		}
+		for s := range c.shardSince {
+			if !v.shards[s].mine {
+				delete(c.shardSince, s)
+			}
+		}
+	} else if len(c.shardSince) > 0 {
+		c.shardSince = map[int]time.Time{}
+	}
+	for name, g := range c.grains {
+		lost := !v.hosts(g.shard)
+		idle := c.cfg.PassivateAfter > 0 &&
+			now.Sub(time.Unix(0, g.last.Load())) >= c.cfg.PassivateAfter &&
+			c.sys.MailboxSize(g.ref) == 0
+		if !lost && !idle {
+			continue
+		}
+		c.deposeLocked(name, g)
+		if lost {
+			c.handoffsOut.Add(1)
+		} else {
+			c.passivations.Add(1)
+		}
+	}
+	c.reconciled = v
 }
 
 func (c *Cluster) isClosed() bool {

@@ -40,27 +40,28 @@ type ShardInfo struct {
 }
 
 // Introspect snapshots the node's cluster state. Consistency is per-section
-// (membership, grains, links are each snapshotted under their own lock), which
-// is exactly what a debug endpoint scraped mid-rebalance can promise.
+// (membership is one published view; grains and links are each snapshotted
+// under their own lock), which is exactly what a debug endpoint scraped
+// mid-rebalance can promise.
 func (c *Cluster) Introspect() Introspection {
-	members, epoch := c.mem.snapshot()
+	v := c.mem.load()
 	out := Introspection{
 		Addr:         c.addr,
-		Epoch:        epoch,
-		Quorate:      c.mem.quorate(),
-		Members:      make([]MemberInfo, 0, len(members)),
+		Epoch:        v.epoch,
+		Quorate:      v.quorate,
+		Members:      make([]MemberInfo, 0, len(v.members)),
 		Shards:       make([]ShardInfo, 0, c.cfg.Shards),
 		ActiveGrains: c.ActiveGrains(),
 		Counters:     c.CounterSnapshot(),
 		Links:        c.node.Links(),
 	}
-	for _, m := range members {
+	for _, m := range v.members {
 		out.Members = append(out.Members, MemberInfo{Addr: m.Addr, Inc: m.Inc, State: m.State.String()})
 	}
-	for shard := 0; shard < c.cfg.Shards; shard++ {
+	for shard, sv := range v.shards {
 		si := ShardInfo{Shard: shard}
-		if owner, state, ok := c.mem.ownerOf(shard); ok {
-			si.Owner, si.State, si.Self = owner, state.String(), owner == c.addr
+		if sv.owner != "" {
+			si.Owner, si.State, si.Self = sv.owner, sv.state.String(), sv.mine
 			if si.Self {
 				out.OwnedShards++
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -85,42 +86,140 @@ type memberRec struct {
 	since time.Time // when State was last set (drives suspect→dead)
 }
 
+// view is one immutable routing snapshot of the membership table. Every
+// mutation publishes a fresh one under the table lock; readers load the
+// current view once and make all of a decision from that single load, so
+// routing never takes the table lock and never mixes two views.
+type view struct {
+	epoch   uint64
+	self    string
+	members []Member // table rows, in map order
+	// shards is the ring under this view: owners are alive and suspect
+	// members (suspects keep their shards; see package doc).
+	shards  []shardView
+	quorate bool // see publishLocked
+	acked   bool // see publishLocked
+}
+
+// shardView is one shard's placement under a view.
+type shardView struct {
+	owner string // "" where no member is a candidate
+	state State  // the owner's state
+	mine  bool   // owner is this node
+}
+
+// hosts reports whether this node may run grains of shard under v: it is
+// quorate and v assigns it the shard.
+func (v *view) hosts(shard int) bool { return v.quorate && v.shards[shard].mine }
+
+// sameRouting reports whether o makes the same routing decisions as v. The
+// ring changes only with the epoch; quorum and acknowledgment can change
+// without it.
+func (v *view) sameRouting(o *view) bool {
+	return o != nil && v.epoch == o.epoch && v.quorate == o.quorate && v.acked == o.acked
+}
+
 type membership struct {
 	suspectAfter time.Duration
 	shards       int
 	onChange     func([]memberChange, uint64) // fired outside mu; epoch after the batch
 
-	mu      sync.RWMutex
-	self    string // empty until start()
-	inc     uint64 // own incarnation
+	// cur is the published view; mutations replace it under mu.
+	cur atomic.Pointer[view]
+
+	mu      sync.Mutex // guards the table below; readers use cur
+	self    string     // empty until start()
+	inc     uint64     // own incarnation
 	members map[string]*memberRec
 	epoch   uint64
 	// down holds the peers whose dial-out link last reported down. A member
 	// can be alive in the table while its link is down: gossip relayed by
 	// a third node readmits it while our redial still backs off. Quorum
-	// counts only members we can reach (see quorate).
+	// counts only members we can reach (see publishLocked).
 	down map[string]bool
 	// acked holds, per peer, the incarnation of this node that the peer's
 	// latest digest claimed alive (0 when the digest claimed anything else
-	// or omitted us). See acknowledged.
+	// or omitted us). See publishLocked.
 	acked map[string]uint64
-
-	// ring memoizes shard ownership for the current epoch: owners are
-	// alive+suspect members (suspects keep their shards; see package doc).
-	ringEpoch  uint64
-	ringOwners []string // len == shards; "" where no candidate exists
-
-	scratch []byte // digest encode buffer, guarded by mu
 }
 
 func newMembership(shards int, suspectAfter time.Duration, onChange func([]memberChange, uint64)) *membership {
-	return &membership{
+	m := &membership{
 		suspectAfter: suspectAfter,
 		shards:       shards,
 		onChange:     onChange,
 		members:      map[string]*memberRec{},
 		down:         map[string]bool{},
 		acked:        map[string]uint64{},
+	}
+	m.publishLocked() // nothing shares m yet
+	return m
+}
+
+// publishLocked rebuilds the view from the table and publishes it, and
+// returns its epoch. Every mutation calls it before releasing mu. The ring
+// is recomputed only when the epoch moved: every state change bumps it.
+//
+// quorate: this node may host activations only while it believes a strict
+// majority of all known (non-left) members, itself included, is alive and
+// reachable. Suspects do not count toward the majority: that is what makes
+// the minority side of a partition fence itself within one heartbeat
+// timeout, before the majority side's SuspectAfter expires and ownership
+// moves. Nor do alive members behind a down link. A link that is already
+// down when a partition starts reports no new transition, so the partition
+// raises no suspicion of that member; counting it would leave the minority
+// side quorate, and hosting, for as long as the partition lasts.
+//
+// acked: every peer that is alive or suspect in the table has acknowledged
+// our current incarnation: its latest digest claims us alive at it. A node
+// that refuted its death hosts nothing new until then, because a peer still
+// holding the stale claim may own our shards and host their grains. The
+// peer's digest is built from its table, and once its table has us alive
+// again its routing sends our shards' messages here and its old activations
+// refuse them (see Cluster.mayHost). At incarnation 0 nobody has claimed
+// anything against us, so the check passes at once.
+func (m *membership) publishLocked() uint64 {
+	v := &view{epoch: m.epoch, self: m.self, members: make([]Member, 0, len(m.members)), acked: true}
+	var candidates []string
+	reachable, total := 0, 0
+	for addr, r := range m.members {
+		v.members = append(v.members, r.Member)
+		if r.State == StateLeft {
+			continue // left members are tombstones, outside the quorum universe
+		}
+		total++
+		if r.State == StateAlive && !m.down[addr] {
+			reachable++
+		}
+		if r.State == StateAlive || r.State == StateSuspect {
+			candidates = append(candidates, addr)
+			if addr != m.self && m.acked[addr] < m.inc {
+				v.acked = false
+			}
+		}
+	}
+	v.quorate = reachable*2 > total
+	if prev := m.cur.Load(); prev != nil && prev.epoch == m.epoch {
+		v.shards = prev.shards
+	} else {
+		v.shards = make([]shardView, m.shards)
+		for s := range v.shards {
+			if o := ownerAmong(s, candidates); o != "" {
+				v.shards[s] = shardView{owner: o, state: m.members[o].State, mine: o == m.self}
+			}
+		}
+	}
+	m.cur.Store(v)
+	return m.epoch
+}
+
+// load returns the current view.
+func (m *membership) load() *view { return m.cur.Load() }
+
+// fire delivers accepted changes to onChange, outside mu.
+func (m *membership) fire(changes []memberChange, epoch uint64) {
+	if len(changes) > 0 && m.onChange != nil {
+		m.onChange(changes, epoch)
 	}
 }
 
@@ -140,37 +239,22 @@ func (m *membership) start(self string, seeds []string, now time.Time) {
 		}
 	}
 	m.epoch++
+	m.publishLocked()
 	m.mu.Unlock()
 }
 
 // epochNow returns the current table epoch.
-func (m *membership) epochNow() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.epoch
-}
+func (m *membership) epochNow() uint64 { return m.load().epoch }
 
 // snapshot returns the table rows and epoch.
 func (m *membership) snapshot() ([]Member, uint64) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]Member, 0, len(m.members))
-	for _, r := range m.members {
-		out = append(out, r.Member)
-	}
-	return out, m.epoch
+	v := m.load()
+	return append([]Member(nil), v.members...), v.epoch
 }
 
-// counts returns (alive, suspect, dead, total-non-left) for gauges and the
-// quorum rule.
+// counts returns (alive, suspect, dead, total-non-left) for gauges.
 func (m *membership) counts() (alive, suspect, dead, total int) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.countsLocked()
-}
-
-func (m *membership) countsLocked() (alive, suspect, dead, total int) {
-	for _, r := range m.members {
+	for _, r := range m.load().members {
 		switch r.State {
 		case StateAlive:
 			alive++
@@ -186,113 +270,27 @@ func (m *membership) countsLocked() (alive, suspect, dead, total int) {
 	return
 }
 
-// quorate reports whether this node may host activations: it must believe a
-// strict majority of all known (non-left) members — itself included — is
-// alive and reachable. Suspects do not count toward the majority: that is
-// what makes the minority side of a partition fence itself within one
-// heartbeat timeout, before the majority side's SuspectAfter expires and
-// ownership moves. Nor do alive members behind a down link. A link that is
-// already down when a partition starts reports no new transition, so the
-// partition raises no suspicion of that member; counting it would leave the
-// minority side quorate, and hosting, for as long as the partition lasts.
-func (m *membership) quorate() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	reachable, total := 0, 0
-	for addr, r := range m.members {
-		if r.State == StateLeft {
-			continue
-		}
-		total++
-		if r.State == StateAlive && !m.down[addr] {
-			reachable++
-		}
-	}
-	return reachable*2 > total
-}
+// quorate reports whether this node may host activations (see
+// publishLocked).
+func (m *membership) quorate() bool { return m.load().quorate }
 
-// acknowledged reports whether every peer that is alive or suspect in our
-// table has acknowledged our current incarnation: its latest digest claims
-// us alive at it. A node that refuted its death hosts nothing new until
-// then, because a peer still holding the stale claim may own our shards and
-// host their grains. The peer's digest is built from its table, and once
-// its table has us alive again its routing sends our shards' messages here
-// and its old activations refuse them (see Cluster.mayHost). At incarnation
-// 0 nobody has claimed anything against us, so the check passes at once.
-func (m *membership) acknowledged() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for addr, r := range m.members {
-		if addr == m.self || (r.State != StateAlive && r.State != StateSuspect) {
-			continue
-		}
-		if m.acked[addr] < m.inc {
-			return false
-		}
-	}
-	return true
-}
+// acknowledged reports whether every alive or suspect peer has acknowledged
+// this node's current incarnation (see publishLocked).
+func (m *membership) acknowledged() bool { return m.load().acked }
 
 // ownerOf resolves a shard to its owning member under the current view.
 // Suspect owners are reported as such so the routing layer parks instead of
 // forwarding into a dead link.
 func (m *membership) ownerOf(shard int) (addr string, state State, ok bool) {
-	m.mu.RLock()
-	if m.ringEpoch == m.epoch && m.ringOwners != nil {
-		addr = m.ringOwners[shard]
-		if addr == "" {
-			m.mu.RUnlock()
-			return "", 0, false
-		}
-		rec := m.members[addr]
-		st := rec.State
-		m.mu.RUnlock()
-		return addr, st, true
-	}
-	m.mu.RUnlock()
-
-	m.mu.Lock()
-	m.rebuildRingLocked()
-	addr = m.ringOwners[shard]
-	var st State
-	if addr != "" {
-		st = m.members[addr].State
-		ok = true
-	}
-	m.mu.Unlock()
-	return addr, st, ok
-}
-
-// rebuildRingLocked recomputes the memoized owner table for the current
-// epoch. Candidates are alive and suspect members: suspicion alone must not
-// move shards, or a flapping link would thrash every grain it hosts.
-func (m *membership) rebuildRingLocked() {
-	if m.ringEpoch == m.epoch && m.ringOwners != nil {
-		return
-	}
-	candidates := make([]string, 0, len(m.members))
-	for addr, r := range m.members {
-		if r.State == StateAlive || r.State == StateSuspect {
-			candidates = append(candidates, addr)
-		}
-	}
-	if m.ringOwners == nil {
-		m.ringOwners = make([]string, m.shards)
-	}
-	for s := 0; s < m.shards; s++ {
-		m.ringOwners[s] = ownerAmong(s, candidates)
-	}
-	m.ringEpoch = m.epoch
+	sv := m.load().shards[shard]
+	return sv.owner, sv.state, sv.owner != ""
 }
 
 // ownedShards returns the shards this node currently owns.
 func (m *membership) ownedShards() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rebuildRingLocked()
 	var out []int
-	for s, o := range m.ringOwners {
-		if o == m.self && o != "" {
+	for s, sv := range m.load().shards {
+		if sv.mine {
 			out = append(out, s)
 		}
 	}
@@ -307,24 +305,18 @@ func (m *membership) ownedShards() []int {
 // a handful of rows, so full-state gossip converges in one round per link
 // and there is no anti-entropy bookkeeping to get wrong.
 func (m *membership) GossipDigest(peer string) []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.self == "" {
+	v := m.load()
+	if v.self == "" {
 		return nil
 	}
-	buf := binary.AppendUvarint(m.scratch[:0], uint64(len(m.members)))
-	for _, r := range m.members {
+	buf := binary.AppendUvarint(make([]byte, 0, 1+len(v.members)*32), uint64(len(v.members)))
+	for _, r := range v.members {
 		buf = binary.AppendUvarint(buf, uint64(len(r.Addr)))
 		buf = append(buf, r.Addr...)
 		buf = binary.AppendUvarint(buf, r.Inc)
 		buf = append(buf, byte(r.State))
 	}
-	m.scratch = buf
-	// The wire layer stores the digest into a frame before the next tick
-	// reuses scratch, but the hook contract is a stable snapshot — copy.
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	return out
+	return buf
 }
 
 // OnGossip merges one received digest (remote.GossipHook) and records what
@@ -355,7 +347,7 @@ func (m *membership) noteAck(from string, claims []Member) {
 	}
 	completed := m.acked[from] < m.inc && inc >= m.inc
 	m.acked[from] = inc
-	epoch := m.epoch
+	epoch := m.publishLocked()
 	m.mu.Unlock()
 	if completed && m.onChange != nil {
 		m.onChange(nil, epoch)
@@ -441,11 +433,9 @@ func (m *membership) merge(claims []Member, now time.Time) {
 			}
 		}
 	}
-	epoch := m.epoch
+	epoch := m.publishLocked()
 	m.mu.Unlock()
-	if len(changes) > 0 && m.onChange != nil {
-		m.onChange(changes, epoch)
-	}
+	m.fire(changes, epoch)
 }
 
 // --- direct failure detection (remote.Config.OnLinkState) -------------------
@@ -462,34 +452,34 @@ func (m *membership) onLinkState(peer string, up bool) {
 		m.mu.Unlock()
 		return
 	}
+	// The down map alone can change quorum, with no state change and no
+	// epoch bump; the publish below covers that too.
 	if up {
 		delete(m.down, peer)
+		// The peer's acknowledgment predates the outage, during which it
+		// may have declared us dead. Frames it queued meanwhile can arrive
+		// before the digest that says so, so the peer must acknowledge
+		// again before we host anything new.
+		delete(m.acked, peer)
 	} else {
 		m.down[peer] = true
 	}
-	rec, known := m.members[peer]
-	if !known {
-		m.mu.Unlock()
-		return
+	if rec, known := m.members[peer]; known {
+		now := time.Now()
+		switch {
+		case !up && rec.State == StateAlive:
+			rec.State, rec.since = StateSuspect, now
+			m.epoch++
+			changes = append(changes, memberChange{Member: rec.Member, prev: StateAlive})
+		case up && rec.State == StateSuspect:
+			rec.State, rec.since = StateAlive, now
+			m.epoch++
+			changes = append(changes, memberChange{Member: rec.Member, prev: StateSuspect})
+		}
 	}
-	now := time.Now()
-	switch {
-	case !up && rec.State == StateAlive:
-		prev := rec.State
-		rec.State, rec.since = StateSuspect, now
-		m.epoch++
-		changes = append(changes, memberChange{Member: rec.Member, prev: prev})
-	case up && rec.State == StateSuspect:
-		prev := rec.State
-		rec.State, rec.since = StateAlive, now
-		m.epoch++
-		changes = append(changes, memberChange{Member: rec.Member, prev: prev})
-	}
-	epoch := m.epoch
+	epoch := m.publishLocked()
 	m.mu.Unlock()
-	if len(changes) > 0 && m.onChange != nil {
-		m.onChange(changes, epoch)
-	}
+	m.fire(changes, epoch)
 }
 
 // tick promotes suspicions that outlived the grace period to dead. Called
@@ -505,11 +495,13 @@ func (m *membership) tick(now time.Time) {
 			changes = append(changes, memberChange{Member: rec.Member, prev: prev})
 		}
 	}
-	epoch := m.epoch
-	m.mu.Unlock()
-	if len(changes) > 0 && m.onChange != nil {
-		m.onChange(changes, epoch)
+	if len(changes) == 0 {
+		m.mu.Unlock()
+		return
 	}
+	epoch := m.publishLocked()
+	m.mu.Unlock()
+	m.fire(changes, epoch)
 }
 
 // leave marks this node left, for a graceful Close: the tombstone rides any
@@ -521,6 +513,7 @@ func (m *membership) leave() {
 		m.inc++
 		rec.Inc, rec.State = m.inc, StateLeft
 		m.epoch++
+		m.publishLocked()
 	}
 	m.mu.Unlock()
 }

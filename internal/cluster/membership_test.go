@@ -216,6 +216,18 @@ func TestAcknowledgedAfterRefutation(t *testing.T) {
 	if m.acknowledged() {
 		t.Fatal("a peer that now suspects us still counted as acknowledging")
 	}
+	// An acknowledgment does not outlive an outage of our link to the peer:
+	// the peer may have declared us dead meanwhile, and the frames it queued
+	// can arrive before the digest that says so.
+	m.noteAck("B", self(1, StateAlive))
+	m.onLinkState("B", true)
+	if m.acknowledged() {
+		t.Fatal("an acknowledgment from before the link came up still counted")
+	}
+	m.noteAck("B", self(1, StateAlive))
+	if !m.acknowledged() {
+		t.Fatal("a fresh digest after the link came up did not acknowledge")
+	}
 }
 
 func TestRingMinimalMovement(t *testing.T) {

@@ -72,8 +72,7 @@ func (c *Cluster) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	for s := 0; s < c.cfg.Shards; s++ {
 		shard := s
 		reg.Gauge(fmt.Sprintf("%s.cluster.shard.%d.owned", prefix, shard), func() int64 {
-			owner, _, ok := c.mem.ownerOf(shard)
-			if ok && owner == c.addr {
+			if c.mem.load().shards[shard].mine {
 				return 1
 			}
 			return 0

@@ -20,24 +20,26 @@ import (
 // dialer's identity so wire operations carry a "src->dst" link (see
 // faults.WireOp) that Partition and OnLink can match on.
 type MemNetwork struct {
-	mu        sync.Mutex
+	mu        sync.Mutex // guards listeners
 	listeners map[string]*memListener
-	inj       faults.Injector
 
-	// record/replay (see replay.go): recording captures the application
-	// frame schedule; replay forces sends into a captured one. At most one
-	// of the two is active; replay takes precedence and bypasses the
-	// injector entirely — the recorded drops already are its decisions.
-	recording *WireRecording
-	replay    *Replayer
-
-	// stamping mirrors (recording != nil || replay != nil) as an atomic so
-	// Node.forward can ask "stamp content fingerprints?" per send without
-	// taking the network lock (see WireEnvelope.Content).
-	stamping atomic.Bool
+	// Every send reads these two without a lock: links must not contend on
+	// one network-wide mutex per frame.
+	inj   atomic.Pointer[faults.Injector]
+	sched atomic.Pointer[wireSchedule]
 
 	delivered atomic.Int64
 	dropped   atomic.Int64
+}
+
+// wireSchedule is a network's record/replay state (see replay.go):
+// recording captures the application frame schedule; replay forces sends
+// into a captured one. Exactly one of the two is set; replay bypasses the
+// injector entirely — the recorded drops already are its decisions. A
+// network with neither holds a nil *wireSchedule.
+type wireSchedule struct {
+	recording *WireRecording
+	replay    *Replayer
 }
 
 // contentStamper is the optional Transport capability Node.forward probes to
@@ -53,7 +55,7 @@ func NewMemNetwork() *MemNetwork {
 	if rec, rep := ambientWire(); rep != nil {
 		m.Replay(rep)
 	} else if rec != nil {
-		m.recording = rec
+		m.sched.Store(&wireSchedule{recording: rec})
 	}
 	return m
 }
@@ -66,10 +68,7 @@ func NewMemNetwork() *MemNetwork {
 // is replaced or via Replay.
 func (m *MemNetwork) Record(seed int64) *WireRecording {
 	rec := NewWireRecording(seed)
-	m.mu.Lock()
-	m.recording, m.replay = rec, nil
-	m.stamping.Store(true)
-	m.mu.Unlock()
+	m.sched.Store(&wireSchedule{recording: rec})
 	return rec
 }
 
@@ -78,53 +77,44 @@ func (m *MemNetwork) Record(seed int64) *WireRecording {
 // sends and dials: the recorded drops are re-applied verbatim and dials
 // always succeed, so the re-execution sees exactly the recorded wire.
 func (m *MemNetwork) Replay(rec *WireRecording) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recording = nil
 	if rec == nil {
-		m.replay = nil
-		m.stamping.Store(false)
+		m.sched.Store(nil)
 		return
 	}
-	m.replay = NewReplayer(rec)
-	m.stamping.Store(true)
+	m.sched.Store(&wireSchedule{replay: NewReplayer(rec)})
 }
 
 func (m *MemNetwork) replayer() *Replayer {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.replay
+	if s := m.sched.Load(); s != nil {
+		return s.replay
+	}
+	return nil
 }
 
 // recordSend appends one application-frame decision to the active recording,
 // if any. Classification runs only while recording, and append order under
 // the recording's lock is the schedule.
 func (m *MemNetwork) recordSend(src, dst string, drop bool, frame []byte) {
-	m.mu.Lock()
-	rec := m.recording
-	m.mu.Unlock()
-	if rec == nil {
+	s := m.sched.Load()
+	if s == nil || s.recording == nil {
 		return
 	}
 	isMsg, content := msgFrameInfo(frame)
 	if !isMsg {
 		return
 	}
-	rec.add(WireEntry{Src: src, Dst: dst, Drop: drop, Content: content})
+	s.recording.add(WireEntry{Src: src, Dst: dst, Drop: drop, Content: content})
 }
 
 // SetInjector installs (or replaces, or clears with nil) the fault injector
 // consulted per frame at faults.SiteWire.
-func (m *MemNetwork) SetInjector(inj faults.Injector) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.inj = inj
-}
+func (m *MemNetwork) SetInjector(inj faults.Injector) { m.inj.Store(&inj) }
 
 func (m *MemNetwork) injector() faults.Injector {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.inj
+	if p := m.inj.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Delivered returns the number of frames handed to a receiving connection.
@@ -146,7 +136,7 @@ type memEndpoint struct {
 
 // stampContent implements contentStamper: nodes on this network stamp
 // payload fingerprints while it records or replays.
-func (e memEndpoint) stampContent() bool { return e.net.stamping.Load() }
+func (e memEndpoint) stampContent() bool { return e.net.sched.Load() != nil }
 
 func (e memEndpoint) Listen(addr string) (Listener, error) {
 	e.net.mu.Lock()
