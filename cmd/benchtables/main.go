@@ -451,9 +451,10 @@ func tellThroughput(reps int, cfg actors.Config, senders, n int) (float64, error
 }
 
 // mailboxTable prints the actor hot-path numbers (see docs/PERF.md) and
-// returns them for the -json baseline. The "locked mailbox" row forces the
-// seed's mutex+cond path via a cap far above the workload, so the two rows
-// isolate the chunked-ring rewrite on an otherwise identical system.
+// returns them for the -json baseline. The "bounded mailbox" row sets a cap
+// far above the workload, so every send takes the bounded admission CAS and
+// none ever waits: against the 8-sender ring row it isolates the cost of
+// admission on an otherwise identical system.
 func mailboxTable(reps, scale int) []benchEntry {
 	t := metrics.NewTable("ACTOR HOT PATH: mailbox & dispatcher (docs/PERF.md)",
 		"Case", "value")
@@ -469,10 +470,10 @@ func mailboxTable(reps, scale int) []benchEntry {
 		t.AddRow(name, fmt.Sprintf("%.2fM msgs/sec", rate/1e6))
 		entries = append(entries, benchEntry{Name: name, Metric: "msgs/sec", Value: rate})
 	}
-	lockCap := 1 << 30 // far above n: bounded semantics never bite
+	boundCap := 1 << 30 // far above n: bounded semantics never bite
 	addTell("tell ring mailbox, 1 sender", actors.Config{}, 1)
 	addTell("tell ring mailbox, 8 senders", actors.Config{}, 8)
-	addTell("tell locked mailbox, 8 senders", actors.Config{MailboxCap: lockCap}, 8)
+	addTell("tell bounded mailbox, 8 senders", actors.Config{MailboxCap: boundCap}, 8)
 
 	idle := 100000 / scale
 	name := fmt.Sprintf("spawn %dk idle actors", idle/1000)
@@ -508,7 +509,7 @@ func writeBaseline(path string, scale int, entries []benchEntry) error {
 		Entries []benchEntry `json:"entries"`
 	}{
 		Note: "Actor mailbox/dispatcher baseline. Machine-dependent: compare " +
-			"ratios (ring vs locked), not absolutes.",
+			"ratios (ring vs bounded), not absolutes.",
 		Command: "go run ./cmd/benchtables -json BENCH_mailbox.json",
 		Scale:   scale,
 		Entries: entries,

@@ -322,6 +322,36 @@ func TestMailboxSizeAndString(t *testing.T) {
 	close(release)
 }
 
+// TestMailboxSizeStoppedAndForeign: MailboxSize reads through the Ref's
+// cell, so a stopped actor reads 0 although its Ref still holds the cell,
+// and another system's Ref reads 0 although its own mailbox is not empty.
+func TestMailboxSizeStoppedAndForeign(t *testing.T) {
+	sys := NewSystem(Config{})
+	defer sys.Shutdown()
+	stopped := sys.MustSpawn("stopped", func(ctx *Context, msg any) {})
+	stopped.Tell(0)
+	sys.Stop(stopped)
+	sys.Await(stopped)
+	if n := sys.MailboxSize(stopped); n != 0 {
+		t.Fatalf("stopped actor: MailboxSize = %d, want 0", n)
+	}
+
+	other := NewSystem(Config{})
+	defer other.Shutdown()
+	release := make(chan struct{})
+	defer close(release)
+	busy := other.MustSpawn("busy", func(ctx *Context, msg any) { <-release })
+	busy.Tell(0)
+	waitUntil(t, func() bool { return other.MailboxSize(busy) == 0 }) // 0 is in hand
+	busy.Tell(1)
+	if n := other.MailboxSize(busy); n != 1 {
+		t.Fatalf("own system: MailboxSize = %d, want 1", n)
+	}
+	if n := sys.MailboxSize(busy); n != 0 {
+		t.Fatalf("foreign system's ref: MailboxSize = %d, want 0", n)
+	}
+}
+
 func TestPerturbedDeliveryReordersButLosesNothing(t *testing.T) {
 	sys := NewSystem(Config{PerturbSeed: 42})
 	defer sys.Shutdown()

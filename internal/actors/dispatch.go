@@ -42,9 +42,8 @@ const (
 // handoff makes the worker woken for a cell the one that runs it: with a
 // plain condition variable, a worker woken for a fresh cell could find an
 // older backlog at the head and run that first, while the worker woken for
-// the backlog had not yet been scheduled. Amortized O(1) like the lock
-// mailbox: a head index advances and the backing array compacts when the
-// dead prefix dominates.
+// the backlog had not yet been scheduled. Amortized O(1): a head index
+// advances and the backing array compacts when the dead prefix dominates.
 type runQueue struct {
 	mu     sync.Mutex
 	q      []*cell
@@ -179,9 +178,10 @@ func (s *System) worker() {
 }
 
 // runSlice processes up to Throughput messages for one cell, drained from
-// its mailbox in batches, then yields the worker. A cell parked by a restart
-// backoff first finishes the supervision directive (c.resume) and the
-// messages it had already dequeued (c.held). On actor exit the schedule flag
+// its mailbox in batches (each shuffled under Config.PerturbSeed), then
+// yields the worker. A cell parked by a restart backoff first finishes the
+// supervision directive (c.resume) and the messages it had already
+// dequeued (c.held). On actor exit the schedule flag
 // is left set so the dead cell can never be re-queued; on a park it stays
 // set until the backoff timer re-queues the cell; otherwise it is released
 // and the mailbox re-checked to close the release/send race. A cell with
@@ -203,6 +203,9 @@ func (s *System) runSlice(c *cell, buf []Envelope) []Envelope {
 		if len(batch) == 0 {
 			if batch = c.mbox.drain(batch, budget); len(batch) == 0 {
 				break
+			}
+			if c.perturb != nil {
+				c.perturb.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 			}
 		}
 		budget -= len(batch)

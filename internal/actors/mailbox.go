@@ -9,8 +9,9 @@ package actors
 
 import (
 	"fmt"
-	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/trace"
@@ -35,9 +36,16 @@ type Envelope struct {
 	// (the origin node made the sampling decision).
 	noTrace bool
 
-	// traceID pairs this envelope's send and receive events when the
-	// system runs with a trace.Recorder.
-	traceID string
+	// traceSeq pairs this envelope's send and receive events when the
+	// system runs with a trace.Recorder: both record traceID(recipient,
+	// traceSeq). Zero when recording is off.
+	traceSeq int64
+
+	// release, when non-nil, runs exactly once when the envelope leaves the
+	// runtime's custody: when a worker dequeues it for processing, when it
+	// deadletters, or when a reply slot or proxy takes it. A conduit sets
+	// it to count its own undelivered messages (see Ref.TellSpanNoWait).
+	release func()
 
 	// enqueuedAt is the send-side wall clock (unix nanoseconds), stamped
 	// only when the system runs with Config.Obs so the dequeue side can
@@ -121,207 +129,363 @@ const (
 	putFull
 )
 
-// mailbox is a FIFO queue of envelopes. Two implementations exist:
-//
-//   - ringMailbox (ring.go): the throughput fast path — a chunked MPSC
-//     queue with lock-free sends and batched dequeue. Used for unbounded,
-//     unperturbed, uninjected mailboxes (the common case).
-//   - lockMailbox (below): the fully-featured slow path — a mutex plus a
-//     condvar for bounded senders, supporting MailboxCap admission control
-//     (block / shed / park-sender) and PerturbSeed random delivery. Also
-//     selected when a fault injector is configured, so injected fault
-//     timing stays identical to the original runtime.
-//
-// Neither ever blocks its consumer: the worker pool only drains a mailbox
-// after a send scheduled its actor. Concurrency contract shared by both:
-// put/close(false)/size may be called from any goroutine; drain and
-// close(true) are single-consumer — only the worker holding the cell's
-// schedule flag may call them.
-type mailbox interface {
-	// put enqueues an envelope; mode says whether a full bounded mailbox
-	// may block the caller (putWait + MailboxBlock), must shed (putNoWait,
-	// or a shedding policy), reports putFull (putManaged + MailboxBlock), or
-	// is bypassed entirely (putForce).
-	put(e Envelope, mode putMode) putResult
-	// drain appends up to max queued envelopes to buf without blocking; it
-	// appends none when the mailbox is empty (or closed and drained).
-	drain(buf []Envelope, max int) []Envelope
-	// close marks the mailbox closed and wakes blocked senders. When
-	// discard is true it returns what was still queued (for deadletter
-	// accounting); pending messages stay drainable otherwise.
-	close(discard bool) []Envelope
-	// size returns the number of queued envelopes.
-	size() int
+// 64 slots ≈ 4.3KB per chunk (Envelope is 64 bytes): big enough that the
+// per-chunk allocation + link amortizes to noise, small enough that a
+// short-lived or lightly-loaded actor doesn't carry a 10KB+ first chunk.
+const (
+	chunkShift = 6
+	chunkSize  = 1 << chunkShift // envelopes per chunk
+	chunkMask  = chunkSize - 1
+)
+
+// ringClosed is the closed bit in mailbox.state; the low 63 bits count
+// reserved slots (the tail sequence number).
+const ringClosed = uint64(1) << 63
+
+// chunk is one fixed-size segment of the queue. start is the sequence
+// number of slots[0]; slot i holds sequence number start+i. A chunk is
+// written once (slots are never reused) and garbage-collected wholesale
+// once the consumer moves past it.
+type chunk struct {
+	start uint64
+	next  atomic.Pointer[chunk]
+	ready [chunkSize]atomic.Bool
+	slots [chunkSize]Envelope
 }
 
-// newMailbox picks the implementation for one actor: the chunked MPSC ring
-// on the fast path, the lock mailbox whenever a feature that needs it
-// (backpressure, perturbation, fault injection) is active.
+// mailbox is an actor's queue: a chunked multi-producer / single-consumer
+// ring. Senders reserve a sequence number on one reservation counter,
+// write their envelope into the slot that number maps to, and publish it
+// with an atomic flag — no mutex, no condition variable, no allocation
+// except one chunk per chunk's worth of messages. The consumer — the worker
+// holding the actor's schedule flag — drains published slots in
+// sequence-number order with plain loads, up to N envelopes per head update
+// (drain). It never waits: a send schedules the actor after publishing, so
+// an empty mailbox simply ends the worker's slice.
+//
+// Unbounded, a reservation is one fetch-add. Bounded (Config.MailboxCap), it
+// is a CAS on the same counter that succeeds only while tail − head < cap;
+// a full queue applies the MailboxPolicy, and a blocked sender parks until
+// drain frees a slot (see admit and wait). Control messages (putForce)
+// always take the fetch-add, so shutdown and supervision bypass the bound.
+//
+// Ordering: the reservation counter totally orders all sends, and a single
+// sender's sends are program-ordered, so per-sender FIFO holds — in fact
+// the queue is globally FIFO, strictly stronger than the actor contract.
+// Config.PerturbSeed reorders on the consumer side, after drain.
+//
+// Concurrency contract: put and size may be called from any goroutine;
+// drain and close only by the worker holding the cell's schedule flag.
+type mailbox struct {
+	// state holds the tail sequence number plus the ringClosed bit; a
+	// sender's reservation atomically claims a slot, and the closed bit in
+	// the observed value voids reservations made after close (see put).
+	// The padding keeps the producer-hammered line away from the
+	// consumer's fields below.
+	state atomic.Uint64
+	_     [56]byte
+	// prodHint is a best-effort pointer near the tail so senders reach
+	// their chunk in O(1) instead of walking the backlog; it is validated
+	// against the reserved sequence number before use.
+	prodHint atomic.Pointer[chunk]
+	_        [56]byte
+	// head is the next sequence number the consumer will take. Written only
+	// by the consumer; read by size() and bounded admission.
+	head atomic.Uint64
+	// headChunk is the chunk containing head. Advanced only by the
+	// consumer; senders use it as a always-safe walk start (it can never be
+	// ahead of any unconsumed sequence number).
+	headChunk atomic.Pointer[chunk]
+	_         [48]byte
+	// closedTail is the tail count frozen at the instant close() set the
+	// closed bit — the drain horizon. Reservations at or beyond it are the
+	// voided fetch-adds of senders that were told "closed"; reservations
+	// below it were accepted and will be published. Written before the
+	// closed bit becomes visible, so any reader that sees the bit sees the
+	// horizon.
+	closedTail atomic.Uint64
+	// sample is the latency sampling rate (0 = off, else a power of two);
+	// immutable after construction. See newMailbox.
+	sample uint64
+	// bound is the admission state of a bounded mailbox, nil when
+	// unbounded; immutable after construction.
+	bound *bound
+}
+
+// bound is a bounded mailbox's admission state: the capacity checked
+// against tail − head at reservation, the full-queue policy, and the
+// senders parked waiting for a slot.
+type bound struct {
+	cap     uint64
+	policy  MailboxPolicy
+	parkFor time.Duration // MailboxParkSender's bounded wait
+	// waiters counts senders parked in wait. drain reads it after freeing
+	// slots and wakes only when it is non-zero, so the uncontended path
+	// never touches mu.
+	waiters atomic.Int32
+	mu      sync.Mutex
+	wake    chan struct{} // closed, then replaced, to wake every parked sender; guarded by mu
+}
+
+// newMailbox builds one actor's mailbox. capacity > 0 bounds it, with
+// policy applied to a full queue and parkFor bounding a MailboxParkSender
+// wait. No chunk is allocated: the first sender CAS-installs it (see
+// chunkFor), so an idle actor's mailbox costs ~a cache line, not a full
+// chunk — spawn stays cheap for large mostly-idle populations.
 //
 // sample, when non-zero (a power of two), makes the mailbox stamp
-// Envelope.enqueuedAt on one in sample accepted puts, using the enqueue
-// tick each implementation already maintains (the ring's reservation
-// counter, the lock mailbox's under-mutex sequence) — so latency sampling
-// adds no shared state to the send path.
-func newMailbox(perturb *rand.Rand, capacity int, injected bool, sample uint64, policy MailboxPolicy, parkFor time.Duration) mailbox {
-	if perturb == nil && capacity <= 0 && !injected {
-		return newRingMailbox(sample)
+// Envelope.enqueuedAt on one in sample accepted puts, using the reservation
+// counter it already maintains as the tick — so latency sampling adds no
+// shared state to the send path.
+func newMailbox(capacity int, policy MailboxPolicy, parkFor time.Duration, sample uint64) *mailbox {
+	m := &mailbox{sample: sample}
+	if capacity > 0 {
+		m.bound = &bound{cap: uint64(capacity), policy: policy, parkFor: parkFor, wake: make(chan struct{})}
 	}
-	return newLockMailbox(perturb, capacity, sample, policy, parkFor)
-}
-
-// lockMailbox is the mutex-guarded slice mailbox. When perturb is non-nil,
-// dequeue picks a uniformly random pending envelope instead of the head,
-// modeling unordered asynchronous delivery. When cap > 0, a full queue
-// applies the configured MailboxPolicy to non-control puts (block / shed /
-// park-sender); control messages bypass the bound.
-//
-// Dequeue is amortized O(1): a head index advances instead of re-slicing,
-// and the backing array is compacted once the dead prefix dominates.
-// Blocked bounded senders wait on notFull, which a dequeue signals only
-// when the waiter count is non-zero, so the uncontended path never pays
-// for a futex wake.
-type lockMailbox struct {
-	mu         sync.Mutex
-	notFull    *sync.Cond // bounded senders wait here
-	putWaiters int        // senders blocked in notFull.Wait
-	queue      []Envelope
-	head       int // queue[head:] are the live entries
-	closed     bool
-	perturb    *rand.Rand
-	cap        int
-	policy     MailboxPolicy // full-queue admission policy (cap > 0 only)
-	parkFor    time.Duration // MailboxParkSender's bounded wait
-	sample     uint64        // latency sampling rate (0 = off); see newMailbox
-	seq        uint64        // accepted puts, the sampling tick; guarded by mu
-}
-
-// parkPoll is the granularity of a MailboxParkSender wait: sync.Cond has no
-// timed wait in Go, so a parked sender polls for a freed slot. 50µs keeps
-// the reaction to a drain prompt while bounding the busy-wait cost.
-const parkPoll = 50 * time.Microsecond
-
-func newLockMailbox(perturb *rand.Rand, capacity int, sample uint64, policy MailboxPolicy, parkFor time.Duration) *lockMailbox {
-	m := &lockMailbox{perturb: perturb, cap: capacity, sample: sample, policy: policy, parkFor: parkFor}
-	m.notFull = sync.NewCond(&m.mu)
 	return m
 }
 
-// live returns the number of queued envelopes. Caller holds mu.
-func (m *lockMailbox) live() int { return len(m.queue) - m.head }
+// tail returns the sequence number bounding published-or-pending slots:
+// the live counter while open, the frozen drain horizon once closed.
+func (m *mailbox) tail() uint64 {
+	s := m.state.Load()
+	if s&ringClosed != 0 {
+		return m.closedTail.Load()
+	}
+	return s
+}
 
-func (m *lockMailbox) put(e Envelope, mode putMode) putResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cap > 0 && mode != putForce && m.live() >= m.cap && !m.closed {
-		switch {
-		case mode == putNoWait || m.policy == MailboxShed:
-			return putShed
-		case m.policy == MailboxParkSender:
-			if !m.parkLocked() {
-				return putShed
-			}
-		case mode == putManaged:
-			return putFull
-		default: // MailboxBlock
-			for m.live() >= m.cap && !m.closed {
-				m.putWaiters++
-				m.notFull.Wait()
-				m.putWaiters--
-			}
+// put enqueues an envelope; mode says whether a full bounded mailbox may
+// block the caller (putWait + MailboxBlock), must shed (putNoWait, or a
+// shedding policy), reports putFull (putManaged + MailboxBlock), or is
+// bypassed entirely (putForce).
+func (m *mailbox) put(e Envelope, mode putMode) putResult {
+	var seq uint64
+	if m.bound == nil || mode == putForce {
+		// One fetch-add is the whole reservation: no retry loop to collapse
+		// under contention. If the closed bit is set in the result the
+		// reservation is void — close() captured the tail before setting the
+		// bit, so a voided sequence number is beyond the drain horizon and is
+		// simply abandoned (the counter never wraps: 63 bits).
+		s := m.state.Add(1)
+		if s&ringClosed != 0 {
+			return putClosed
+		}
+		seq = s - 1
+	} else {
+		var res putResult
+		if seq, res = m.admit(mode); res != putOK {
+			return res
 		}
 	}
-	if m.closed {
-		return putClosed
-	}
-	if m.sample != 0 && m.seq&(m.sample-1) == 0 {
+	if m.sample != 0 && seq&(m.sample-1) == 0 {
+		// Latency sampling rides the reservation counter the mailbox already
+		// pays for: one in sample sequence numbers carries a send timestamp,
+		// so enabling instrumentation adds no shared-state traffic here.
 		e.enqueuedAt = time.Now().UnixNano()
 	}
-	m.seq++
-	m.queue = append(m.queue, e)
+	c := m.chunkFor(seq)
+	i := seq & chunkMask
+	c.slots[i] = e
+	c.ready[i].Store(true)
 	return putOK
 }
 
-// parkLocked waits up to m.parkFor for the bounded queue to open a slot,
-// releasing the mutex between polls. True means a slot opened (or the
-// mailbox closed — the caller re-checks closed either way); false means the
-// park timed out and the envelope must shed. The wait is a bounded courtesy,
-// not a guarantee: under sustained overload it converts blocking into a
-// short, fixed-cost delay followed by an honest shed.
-func (m *lockMailbox) parkLocked() bool {
-	deadline := time.Now().Add(m.parkFor)
-	for m.live() >= m.cap && !m.closed {
-		if !time.Now().Before(deadline) {
-			return false
+// admit reserves a slot in a bounded mailbox and returns its sequence
+// number: a CAS on the reservation counter that succeeds only while
+// tail − head < cap. A full queue applies the admission policy: shed at
+// once, report putFull to a managed sender, or park in wait — without limit
+// under MailboxBlock, for at most parkFor under MailboxParkSender.
+func (m *mailbox) admit(mode putMode) (uint64, putResult) {
+	b := m.bound
+	var timer *time.Timer
+	for {
+		// head before state: a stale head only overstates occupancy, so the
+		// cap holds; the reverse order could see head past the loaded tail.
+		h := m.head.Load()
+		s := m.state.Load()
+		switch {
+		case s&ringClosed != 0:
+			return 0, putClosed
+		case s-h < b.cap:
+			if m.state.CompareAndSwap(s, s+1) {
+				return s, putOK
+			}
+		case mode == putNoWait || b.policy == MailboxShed:
+			return 0, putShed
+		case b.policy == MailboxParkSender:
+			if timer == nil {
+				timer = time.NewTimer(b.parkFor)
+				defer timer.Stop()
+			}
+			if !m.wait(timer.C) {
+				return 0, putShed
+			}
+		case mode == putManaged:
+			return 0, putFull
+		default: // MailboxBlock
+			m.wait(nil)
 		}
-		m.mu.Unlock()
-		time.Sleep(parkPoll)
-		m.mu.Lock()
 	}
-	return true
 }
 
-// drain on the lock mailbox dequeues a single envelope per call: bounded
-// mailboxes keep one-in-one-out backpressure granularity (a bulk drain
-// would release every blocked sender at once), and perturbed mailboxes
-// keep the seed's per-dequeue random draw. Batched dequeue is the ring
-// mailbox's job.
-func (m *lockMailbox) drain(buf []Envelope, max int) []Envelope {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.popLocked(); ok {
-		buf = append(buf, e)
+// wait parks a sender of a full bounded mailbox until a drain or close may
+// have opened a slot; false means expired fired first. The sender registers
+// before it re-checks the queue, and drain moves head before it reads the
+// waiter count, so either the re-check sees the freed slot or drain sees
+// the waiter and wakes it: no wakeup is lost.
+func (m *mailbox) wait(expired <-chan time.Time) bool {
+	b := m.bound
+	b.mu.Lock()
+	b.waiters.Add(1)
+	h := m.head.Load()
+	s := m.state.Load()
+	if s&ringClosed != 0 || s-h < b.cap {
+		b.waiters.Add(-1)
+		b.mu.Unlock()
+		return true
+	}
+	wake := b.wake
+	b.mu.Unlock()
+	defer b.waiters.Add(-1)
+	select {
+	case <-wake:
+		return true
+	case <-expired:
+		return false
+	}
+}
+
+// wakeAll releases every parked sender to retry its reservation.
+func (b *bound) wakeAll() {
+	b.mu.Lock()
+	close(b.wake)
+	b.wake = make(chan struct{})
+	b.mu.Unlock()
+}
+
+// chunkFor returns the chunk containing sequence number seq, allocating
+// and linking successors as needed. Starting points: prodHint when it is
+// not past seq, else headChunk (always ≤ any unconsumed seq, because the
+// consumer cannot pass an unpublished slot).
+func (m *mailbox) chunkFor(seq uint64) *chunk {
+	c := m.prodHint.Load()
+	if c == nil || c.start > seq {
+		c = m.headChunk.Load()
+		if c == nil {
+			// First send ever: race to install chunk 0. headChunk is nil
+			// only before this point and never again, so the CAS loser just
+			// reloads the winner's chunk.
+			nc := &chunk{}
+			if !m.headChunk.CompareAndSwap(nil, nc) {
+				nc = m.headChunk.Load()
+			}
+			c = nc
+		}
+	}
+	walked := false
+	for c.start+chunkSize <= seq {
+		next := c.next.Load()
+		if next == nil {
+			nc := &chunk{start: c.start + chunkSize}
+			if c.next.CompareAndSwap(nil, nc) {
+				next = nc
+			} else {
+				next = c.next.Load()
+			}
+		}
+		c = next
+		walked = true
+	}
+	if walked {
+		// Best-effort: a racing store of an older chunk is harmless, the
+		// hint is validated on load.
+		m.prodHint.Store(c)
+	}
+	return c
+}
+
+// drain appends up to max published envelopes to buf with one head update
+// for the whole batch, and appends none when the mailbox is empty (or
+// closed and drained). A bounded mailbox then wakes its parked senders, if
+// any, for the slots the batch freed.
+func (m *mailbox) drain(buf []Envelope, max int) []Envelope {
+	h := m.head.Load()
+	avail := m.tail() - h
+	if avail == 0 {
+		return buf
+	}
+	if avail > uint64(max) {
+		avail = uint64(max)
+	}
+	c := m.headChunk.Load()
+	if c == nil {
+		return buf // reserving sender has not installed chunk 0 yet
+	}
+	start := h
+	for h-start < avail {
+		if h >= c.start+chunkSize {
+			next := c.next.Load()
+			if next == nil {
+				break // successor mid-allocation; the sender reschedules us
+			}
+			m.headChunk.Store(next)
+			c = next
+		}
+		i := h & chunkMask
+		if !c.ready[i].Load() {
+			break // unpublished: stop, sequence order is the FIFO guarantee
+		}
+		buf = append(buf, c.slots[i])
+		c.slots[i] = Envelope{} // release references for the GC
+		h++
+	}
+	if h != start {
+		m.head.Store(h)
+		if b := m.bound; b != nil && b.waiters.Load() != 0 {
+			b.wakeAll()
+		}
 	}
 	return buf
 }
 
-// popLocked removes one envelope (random under perturbation) and wakes one
-// blocked bounded sender for the freed slot. Caller holds mu.
-func (m *lockMailbox) popLocked() (e Envelope, ok bool) {
-	if m.live() == 0 {
-		return Envelope{}, false
-	}
-	idx := m.head
-	if m.perturb != nil && m.live() > 1 {
-		idx = m.head + m.perturb.Intn(m.live())
-	}
-	e = m.queue[idx]
-	if idx != m.head {
-		m.queue[idx] = m.queue[m.head]
-	}
-	m.queue[m.head] = Envelope{} // release references for the GC
-	m.head++
-	// Compact once the dead prefix dominates a non-trivial backlog.
-	if m.head > 64 && m.head*2 >= len(m.queue) {
-		n := copy(m.queue, m.queue[m.head:])
-		for i := n; i < len(m.queue); i++ {
-			m.queue[i] = Envelope{}
+// close marks the mailbox closed, releases every parked sender (which then
+// reports putClosed), and returns what was still queued, for deadletter
+// accounting.
+func (m *mailbox) close() []Envelope {
+	for {
+		s := m.state.Load()
+		if s&ringClosed != 0 {
+			break
 		}
-		m.queue = m.queue[:n]
-		m.head = 0
+		// Publish the horizon before the bit: a reader that sees the bit
+		// (via the state acquire-load) must see this horizon.
+		m.closedTail.Store(s)
+		if m.state.CompareAndSwap(s, s|ringClosed) {
+			break
+		}
 	}
-	if m.putWaiters > 0 {
-		m.notFull.Signal() // exactly one slot opened: wake one sender
+	if m.bound != nil {
+		m.bound.wakeAll()
 	}
-	return e, true
-}
-
-func (m *lockMailbox) close(discard bool) []Envelope {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
+	// Drain every accepted reservation (those below the horizon). Their
+	// senders will publish momentarily — there is no blocking between
+	// reserve and publish — so spin across the gap.
+	tail := m.closedTail.Load()
 	var drained []Envelope
-	if discard {
-		drained = append(drained, m.queue[m.head:]...)
-		m.queue = nil
-		m.head = 0
+	for h := m.head.Load(); h < tail; h = m.head.Load() {
+		n := len(drained)
+		if drained = m.drain(drained, int(tail-h)); len(drained) == n {
+			runtime.Gosched()
+		}
 	}
-	m.notFull.Broadcast()
 	return drained
 }
 
-func (m *lockMailbox) size() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.live()
+// size returns the number of queued envelopes. Reserved-but-unpublished
+// slots count as queued: their senders' put calls have logically happened.
+// head is read first, so the difference can never go negative.
+func (m *mailbox) size() int {
+	h := m.head.Load()
+	return int(m.tail() - h)
 }

@@ -1,6 +1,7 @@
 package actors
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,23 +57,41 @@ func TestBoundedMailboxShutdownUnblocksSenders(t *testing.T) {
 	block := make(chan struct{})
 	busy := sys.MustSpawn("busy", func(ctx *Context, msg any) { <-block })
 	busy.Tell(0)
-	time.Sleep(10 * time.Millisecond)
-	busy.Tell(1) // fills the mailbox
+	// Wait until 0 is in hand, so 1 fills the mailbox.
+	waitUntil(t, func() bool { return sys.MailboxSize(busy) == 0 })
+	busy.Tell(1)
 	sent := make(chan struct{})
 	go func() {
 		busy.Tell(2) // blocks on the full mailbox
 		close(sent)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitUntil(t, func() bool { return busy.cell.mbox.bound.waiters.Load() == 1 })
+	stopped := make(chan struct{})
 	go func() {
-		time.Sleep(20 * time.Millisecond)
-		close(block) // let the in-flight message finish so Shutdown proceeds
+		sys.Shutdown()
+		close(stopped)
 	}()
-	sys.Shutdown()
+	// Shutdown's poison pill bypasses the cap; once it is queued behind 1,
+	// let the in-flight message finish so Shutdown proceeds.
+	waitUntil(t, func() bool { return sys.MailboxSize(busy) == 2 })
+	close(block)
 	select {
 	case <-sent:
 	case <-time.After(5 * time.Second):
 		t.Fatal("sender still blocked after shutdown")
+	}
+	<-stopped
+}
+
+// waitUntil polls cond until it holds, failing the test after 5s.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 5s")
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -95,12 +114,13 @@ func TestBoundedMailboxPoisonPillBypassesCap(t *testing.T) {
 	sys.Shutdown()
 }
 
-// TestLockMailboxWaiterCounters pins the signal-only-when-waiting fix: the
-// uncontended put/drain path leaves no waiter registered, so no condvar wake
-// is issued unless a bounded sender is actually blocked; a blocked sender
-// registers, and exactly one dequeue releases it.
-func TestLockMailboxWaiterCounters(t *testing.T) {
-	m := newLockMailbox(nil, 2, 0, MailboxBlock, time.Millisecond)
+// TestMailboxWaiterCounters pins signal-only-when-waiting: uncontended
+// put/drain traffic on a bounded mailbox registers no waiter and issues no
+// wake; a blocked sender registers, and one dequeue releases it.
+func TestMailboxWaiterCounters(t *testing.T) {
+	m := newMailbox(2, MailboxBlock, time.Millisecond, 0)
+	b := m.bound
+	idle := b.wake
 	for i := 0; i < 10; i++ {
 		if m.put(Envelope{Msg: i}, putWait) != putOK {
 			t.Fatal("put refused")
@@ -109,30 +129,21 @@ func TestLockMailboxWaiterCounters(t *testing.T) {
 			t.Fatal("drain empty")
 		}
 	}
-	m.mu.Lock()
-	pw := m.putWaiters
-	m.mu.Unlock()
-	if pw != 0 {
-		t.Fatalf("uncontended traffic left waiters: put=%d", pw)
+	if w := b.waiters.Load(); w != 0 {
+		t.Fatalf("uncontended traffic left waiters: %d", w)
+	}
+	b.mu.Lock()
+	woke := b.wake != idle
+	b.mu.Unlock()
+	if woke {
+		t.Fatal("a drain issued a wake with no sender waiting")
 	}
 
 	m.put(Envelope{Msg: 0}, putWait)
 	m.put(Envelope{Msg: 1}, putWait)
 	admitted := make(chan putResult, 1)
 	go func() { admitted <- m.put(Envelope{Msg: "x"}, putWait) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		m.mu.Lock()
-		pw = m.putWaiters
-		m.mu.Unlock()
-		if pw == 1 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if pw != 1 {
-		t.Fatalf("blocked sender not counted: putWaiters=%d", pw)
-	}
+	waitUntil(t, func() bool { return b.waiters.Load() == 1 })
 	m.drain(nil, 1)
 	select {
 	case r := <-admitted:
@@ -144,14 +155,14 @@ func TestLockMailboxWaiterCounters(t *testing.T) {
 	}
 }
 
-// TestBoundedOverflowAccounting checks overflow bookkeeping on the new
-// split-condvar path: messages beyond the cap block their senders, every
-// blocked sender is admitted exactly once as slots free, and a close
-// surfaces exactly the still-queued envelopes.
+// TestBoundedOverflowAccounting checks overflow bookkeeping: messages
+// beyond the cap block their senders, every blocked sender is admitted
+// exactly once as slots free, and a close surfaces exactly the still-queued
+// envelopes and refuses the senders still waiting.
 func TestBoundedOverflowAccounting(t *testing.T) {
 	const cap = 4
 	const overflow = 8
-	m := newLockMailbox(nil, cap, 0, MailboxBlock, time.Millisecond)
+	m := newMailbox(cap, MailboxBlock, time.Millisecond, 0)
 	for i := 0; i < cap; i++ {
 		if m.put(Envelope{Msg: i}, putWait) != putOK {
 			t.Fatal("put refused while under cap")
@@ -168,7 +179,7 @@ func TestBoundedOverflowAccounting(t *testing.T) {
 			}
 		}(i)
 	}
-	time.Sleep(20 * time.Millisecond) // let the overflow senders block
+	waitUntil(t, func() bool { return m.bound.waiters.Load() == overflow })
 	if got := m.size(); got != cap {
 		t.Fatalf("size = %d while senders blocked, want %d (cap exceeded?)", got, cap)
 	}
@@ -180,17 +191,15 @@ func TestBoundedOverflowAccounting(t *testing.T) {
 			t.Fatal("drain empty with senders pending")
 		}
 		taken++
+		waitUntil(t, func() bool { return admitted.Load() == int64(taken) })
+		if got := m.size(); got != cap {
+			t.Fatalf("size = %d after %d takes, want refilled to %d", got, taken, cap)
+		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for m.size() < cap && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := m.size(); got != cap {
-		t.Fatalf("size = %d after partial drain, want refilled to %d", got, cap)
-	}
+	waitUntil(t, func() bool { return m.bound.waiters.Load() == overflow-int32(taken) })
 	// Close: the remaining queued envelopes surface for deadletter
 	// accounting, still-blocked senders are refused.
-	queued := len(m.close(true))
+	queued := len(m.close())
 	wg.Wait()
 	if total := taken + queued + (overflow - int(admitted.Load())); total != cap+overflow {
 		t.Fatalf("taken %d + drained %d + refused %d != %d sent",

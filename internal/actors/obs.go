@@ -17,10 +17,9 @@ import (
 // also nil-safe, so a partially filled Obs works too).
 //
 // With Obs set, the marginal per-message cost is deliberately tiny: the
-// send-side sampling decision rides counters the mailboxes already
-// maintain (the ring's reservation fetch-add, the lock mailbox's
-// under-mutex sequence), the dequeue-side tick is a plain per-actor field,
-// and only the one-in-Sample sampled messages pay clock reads. The exact
+// send-side sampling decision rides the reservation counter the mailbox
+// already maintains, the dequeue-side tick is a plain per-actor field, and
+// only the one-in-Sample sampled messages pay clock reads. The exact
 // conservation ledger is the one per-message cost that cannot be sampled
 // away, so it is a separate opt-in (Conserve).
 type Obs struct {

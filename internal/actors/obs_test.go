@@ -85,8 +85,8 @@ func TestObsDisabledLeavesNoTrace(t *testing.T) {
 }
 
 // Conservation must hold with concurrent senders, mid-run actor stops
-// (draining queued messages), and post-stop sends, on the ring mailbox
-// (with a wider pool than the default) and on the bounded lock mailbox.
+// (draining queued messages), and post-stop sends, on an unbounded mailbox
+// (with a wider pool than the default) and on a bounded one.
 func TestConservationUnderChurn(t *testing.T) {
 	modes := []struct {
 		name string

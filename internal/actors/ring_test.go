@@ -1,7 +1,6 @@
 package actors
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,24 +16,6 @@ type tagged struct {
 	seq    int
 }
 
-// TestRingMailboxSelected pins the fast-path selection rules: ring for the
-// plain config, lock mailbox whenever backpressure, perturbation, or fault
-// injection needs it.
-func TestRingMailboxSelected(t *testing.T) {
-	if _, ok := newMailbox(nil, 0, false, 0, MailboxBlock, time.Millisecond).(*ringMailbox); !ok {
-		t.Fatal("plain config did not select the ring mailbox")
-	}
-	if _, ok := newMailbox(nil, 8, false, 0, MailboxBlock, time.Millisecond).(*lockMailbox); !ok {
-		t.Fatal("bounded config did not select the lock mailbox")
-	}
-	if _, ok := newMailbox(rand.New(rand.NewSource(1)), 0, false, 0, MailboxBlock, time.Millisecond).(*lockMailbox); !ok {
-		t.Fatal("perturbed config did not select the lock mailbox")
-	}
-	if _, ok := newMailbox(nil, 0, true, 0, MailboxBlock, time.Millisecond).(*lockMailbox); !ok {
-		t.Fatal("injected config did not select the lock mailbox")
-	}
-}
-
 // TestRingMailboxFIFOAndCounting is the core property test: many concurrent
 // senders, one consumer, 10k+ messages; every envelope must arrive exactly
 // once and in per-sender order (the ring is globally FIFO per reservation
@@ -42,7 +23,7 @@ func TestRingMailboxSelected(t *testing.T) {
 func TestRingMailboxFIFOAndCounting(t *testing.T) {
 	const senders = 8
 	const perSender = 2500 // 20k messages total
-	m := newRingMailbox(0)
+	m := newMailbox(0, MailboxBlock, 0, 0)
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		wg.Add(1)
@@ -88,7 +69,7 @@ func TestRingMailboxFIFOAndCounting(t *testing.T) {
 // drained at close) or was refused — no envelope is lost or duplicated.
 func TestRingMailboxCloseAccounting(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		m := newRingMailbox(0)
+		m := newMailbox(0, MailboxBlock, 0, 0)
 		const senders = 8
 		const perSender = 500
 		var accepted atomic.Int64
@@ -114,7 +95,7 @@ func TestRingMailboxCloseAccounting(t *testing.T) {
 			}
 			consumed += len(batch)
 		}
-		drained := len(m.close(true))
+		drained := len(m.close())
 		wg.Wait()
 		// Late puts after close must be refused; drain again to catch any
 		// envelope that slipped a reservation in before the closed bit.
@@ -132,7 +113,7 @@ func TestRingMailboxCloseAccounting(t *testing.T) {
 // boundaries with a tiny interleaved produce/consume pattern, exercising
 // headChunk advancement and prodHint revalidation.
 func TestRingMailboxChunkBoundaries(t *testing.T) {
-	m := newRingMailbox(0)
+	m := newMailbox(0, MailboxBlock, 0, 0)
 	const total = chunkSize*3 + 17
 	next := 0
 	for i := 0; i < total; i++ {
@@ -162,10 +143,10 @@ func TestRingMailboxChunkBoundaries(t *testing.T) {
 	}
 }
 
-// --- System-level stress: the full delivery contract on the fast path ---
+// --- System-level stress: the full delivery contract through Tell ---
 
 // TestSystemStressFIFOPerSender floods one actor from many senders through
-// the real Tell path (ring mailbox, default pool) and asserts
+// the real Tell path (unbounded mailbox, default pool) and asserts
 // per-sender FIFO plus exact counting at the behavior level.
 func TestSystemStressFIFOPerSender(t *testing.T) {
 	testSystemStressFIFO(t, Config{})
@@ -178,8 +159,8 @@ func TestSystemStressFIFOPerSenderPooled(t *testing.T) {
 	testSystemStressFIFO(t, Config{PoolSize: 1, Throughput: 8})
 }
 
-// TestSystemStressFIFOPerSenderBounded is the same contract through the
-// bounded (lock) mailbox: backpressure must not reorder or drop envelopes.
+// TestSystemStressFIFOPerSenderBounded is the same contract through a
+// bounded mailbox: backpressure must not reorder or drop envelopes.
 func TestSystemStressFIFOPerSenderBounded(t *testing.T) {
 	testSystemStressFIFO(t, Config{MailboxCap: 32})
 }
@@ -229,7 +210,7 @@ func testSystemStressFIFO(t *testing.T, cfg Config) {
 }
 
 // TestSystemStressCloseConservation races senders against Stop and checks
-// the system-wide conservation law on the fast path: every send is either
+// the system-wide conservation law: every send is either
 // processed or deadlettered, never both, never neither.
 func TestSystemStressCloseConservation(t *testing.T) {
 	for round := 0; round < 10; round++ {

@@ -116,8 +116,11 @@ func (s *System) fillSlot(to *Ref, e Envelope, ctrl bool) deliverStatus {
 		s.deadletterKind(to, e, DLDead)
 		return statusDead
 	}
-	if e.traceID != "" {
-		s.cfg.Recorder.RecordReceive(to.String(), e.traceID, fmt.Sprintf("%T", e.Msg))
+	if e.release != nil {
+		e.release()
+	}
+	if e.traceSeq != 0 {
+		s.cfg.Recorder.RecordReceive(to.String(), traceID(to, e.traceSeq), fmt.Sprintf("%T", e.Msg))
 	}
 	if sp := e.Span; sp != nil {
 		now := trace.SpanNow()

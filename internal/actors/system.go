@@ -108,27 +108,39 @@ func (r *Ref) TellSpan(sender *Ref, msg any, sp *trace.Span) {
 
 // TellSpanNoWait is TellSpan with TellFromNoWait's never-block contract: the
 // remote dispatch path uses it so a traced delivery can continue its span
-// without ever stalling a connection's reader goroutine.
-func (r *Ref) TellSpanNoWait(sender *Ref, msg any, sp *trace.Span) bool {
+// without ever stalling a connection's reader goroutine. release, when
+// non-nil, runs exactly once, when the message leaves the runtime's custody:
+// dequeued by the worker that runs it, deadlettered (before TellSpanNoWait
+// returns false, or later if the actor stops with it queued), or taken by a
+// reply slot or proxy. It runs on whichever goroutine that happens on, so it
+// must be cheap.
+func (r *Ref) TellSpanNoWait(sender *Ref, msg any, sp *trace.Span, release func()) bool {
 	if r == nil || r.sys == nil {
 		sp.FinishDead(DLNoRecipient.String(), trace.SpanNow())
+		if release != nil {
+			release()
+		}
 		return false
 	}
-	return r.sys.sendMode(r, Envelope{Msg: msg, Sender: sender, Span: sp, noTrace: true}, putNoWait) == statusDelivered
+	e := Envelope{Msg: msg, Sender: sender, Span: sp, noTrace: true, release: release}
+	return r.sys.sendMode(r, e, putNoWait) == statusDelivered
 }
 
 // Config controls a System.
 type Config struct {
-	// PerturbSeed, when non-zero, makes every mailbox deliver pending
-	// messages in random order (seeded deterministically per actor) instead
-	// of FIFO. This exhibits the Actor model's unordered asynchronous
-	// delivery, the behavior behind the paper's misconception [I2]M5
-	// ("conflate message sending order with receiving order").
+	// PerturbSeed, when non-zero, makes every actor process each batch it
+	// drains from its mailbox (up to Throughput messages) in random order,
+	// seeded deterministically per actor, instead of FIFO. This exhibits
+	// the Actor model's unordered asynchronous delivery, the behavior behind
+	// the paper's misconception [I2]M5 ("conflate message sending order
+	// with receiving order").
 	PerturbSeed int64
 	// MailboxCap, when positive, bounds every mailbox: a full queue applies
 	// MailboxPolicy to the sender (block / shed / park-sender) instead of
-	// queueing without limit. Control messages (poison pills) bypass the
-	// bound so shutdown cannot deadlock.
+	// queueing without limit. The bound counts queued messages; the batch a
+	// worker has already drained and not yet processed, at most Throughput,
+	// is beyond it. Control messages (poison pills) bypass the bound so
+	// shutdown cannot deadlock.
 	MailboxCap int
 	// MailboxPolicy selects what a full bounded mailbox does to non-control
 	// senders: MailboxBlock (default) blocks them, MailboxShed deadletters
@@ -212,7 +224,7 @@ type System struct {
 	deadletters atomic.Int64
 	dlByKind    [dlKinds]atomic.Int64
 	processed   atomic.Int64
-	traceSeq    atomic.Int64
+	traceSeq    atomic.Int64 // last Envelope.traceSeq issued
 	panics      atomic.Int64
 	injected    atomic.Int64
 	restarts    atomic.Int64
@@ -234,7 +246,7 @@ type System struct {
 // cell is the runtime state of one actor.
 type cell struct {
 	ref      *Ref
-	mbox     mailbox
+	mbox     *mailbox
 	behavior Behavior
 	ctx      *Context
 	done     chan struct{}
@@ -258,6 +270,11 @@ type cell struct {
 	// plain field: only the single consumer touches it (same publication
 	// rules as behavior above).
 	obsTick uint64
+
+	// perturb shuffles each drained batch under Config.PerturbSeed (nil
+	// otherwise). Only the worker holding the schedule flag touches it, so
+	// it needs no lock.
+	perturb *rand.Rand
 
 	// gen counts Become calls since the last (re)start: the behavior
 	// generation. Only the consumer touches it (same publication
@@ -349,21 +366,20 @@ func (s *System) spawn(name string, b Behavior, sup *Supervisor, factory func() 
 	}
 	id := s.nextID.Add(1)
 	ref := &Ref{id: id, name: name, sys: s}
-	var perturb *rand.Rand
-	if s.cfg.PerturbSeed != 0 {
-		perturb = rand.New(rand.NewSource(s.cfg.PerturbSeed + int64(id)))
-	}
 	parkFor := s.cfg.ParkTimeout
 	if parkFor <= 0 {
 		parkFor = time.Millisecond
 	}
 	c := &cell{
 		ref:      ref,
-		mbox:     newMailbox(perturb, s.cfg.MailboxCap, s.cfg.Injector != nil, s.obsSample, s.cfg.MailboxPolicy, parkFor),
+		mbox:     newMailbox(s.cfg.MailboxCap, s.cfg.MailboxPolicy, parkFor, s.obsSample),
 		behavior: b,
 		done:     make(chan struct{}),
 		sup:      sup,
 		factory:  factory,
+	}
+	if s.cfg.PerturbSeed != 0 {
+		c.perturb = rand.New(rand.NewSource(s.cfg.PerturbSeed + int64(id)))
 	}
 	c.ctx = &Context{system: s, self: ref, cell: c}
 	ref.cell = c
@@ -395,7 +411,7 @@ func (s *System) teardown(c *cell, rest []Envelope) {
 	s.mu.Lock()
 	delete(s.actors, c.ref.id)
 	s.mu.Unlock()
-	for _, batch := range [][]Envelope{rest, c.mbox.close(true)} {
+	for _, batch := range [][]Envelope{rest, c.mbox.close()} {
 		for _, e := range batch {
 			if s.conserve && !isControl(e.Msg) {
 				s.drained.Add(1)
@@ -422,6 +438,9 @@ func (s *System) teardown(c *cell, rest []Envelope) {
 // actor: it goes on, exits (the caller then runs teardown), or parks for a
 // restart backoff.
 func (s *System) processOne(c *cell, e Envelope) step {
+	if e.release != nil {
+		e.release()
+	}
 	ctx := c.ctx
 	switch m := e.Msg.(type) {
 	case stopMsg:
@@ -458,8 +477,8 @@ func (s *System) processOne(c *cell, e Envelope) step {
 		s.recordFault(c.ref, faults.SiteReceive, e.Msg, d)
 		time.Sleep(d.Delay)
 	}
-	if s.cfg.Recorder != nil && e.traceID != "" {
-		s.cfg.Recorder.RecordReceive(c.ref.String(), e.traceID, fmt.Sprintf("%T", e.Msg))
+	if s.cfg.Recorder != nil && e.traceSeq != 0 {
+		s.cfg.Recorder.RecordReceive(c.ref.String(), traceID(c.ref, e.traceSeq), fmt.Sprintf("%T", e.Msg))
 	}
 	// Traced delivery: close the mailbox stage (origination/arrival →
 	// dequeue) and expose the span to the behavior, so in-handler sends can
@@ -729,11 +748,14 @@ func (s *System) sendMode(to *Ref, e Envelope, mode putMode) deliverStatus {
 			s.deadletterKind(to, e, DLMoving)
 			return statusMoving
 		}
+		if e.release != nil {
+			e.release()
+		}
 		return statusDelivered
 	}
 	if s.cfg.Recorder != nil && !ctrl {
-		e.traceID = fmt.Sprintf("%s#%d", to.String(), s.traceSeq.Add(1))
-		s.cfg.Recorder.RecordSend(senderName(e.Sender), e.traceID, fmt.Sprintf("%T", e.Msg))
+		e.traceSeq = s.traceSeq.Add(1)
+		s.cfg.Recorder.RecordSend(senderName(e.Sender), traceID(to, e.traceSeq), fmt.Sprintf("%T", e.Msg))
 	}
 	if to.slot != nil {
 		return s.fillSlot(to, e, ctrl)
@@ -768,7 +790,7 @@ func (s *System) sendMode(to *Ref, e Envelope, mode putMode) deliverStatus {
 	// Ledger add after a successful put, so conservation sees only messages
 	// that actually entered a mailbox. (Latency sampling is not here: the
 	// mailbox itself stamps one in obsSample accepted envelopes, riding its
-	// own enqueue counter — see newMailbox.)
+	// reservation counter — see newMailbox.)
 	if s.conserve && !ctrl {
 		s.enqueued.Add(1)
 	}
@@ -784,6 +806,9 @@ func senderName(r *Ref) string {
 	return r.String()
 }
 
+// traceID names one message's send/receive pair in the trace recorder.
+func traceID(to *Ref, seq int64) string { return fmt.Sprintf("%s#%d", to.String(), seq) }
+
 // DeadLetterKind classifies why a message became a deadletter, so remote
 // deadletters (an unreachable peer) are distinguishable from a stopped
 // actor or an injected drop. Kinds are surfaced through RegisterMetrics.
@@ -795,8 +820,8 @@ const (
 	DLNoRecipient DeadLetterKind = iota
 	// DLDead: the target is stopped or belongs to another system.
 	DLDead
-	// DLClosed: the target's mailbox (ring or lock) closed with the message
-	// queued or mid-put — the close-time drain of either mailbox kind.
+	// DLClosed: the target's mailbox closed with the message queued or
+	// mid-put — the close-time drain.
 	DLClosed
 	// DLDropped: a fault injector discarded the send.
 	DLDropped
@@ -840,6 +865,10 @@ func (k DeadLetterKind) String() string {
 }
 
 func (s *System) deadletterKind(to *Ref, e Envelope, kind DeadLetterKind) {
+	if e.release != nil {
+		e.release()
+		e.release = nil // the hook below may resend e
+	}
 	s.deadletters.Add(1)
 	s.dlByKind[kind].Add(1)
 	// A traced message that dies is still a finished span: seal it with the
@@ -904,19 +933,14 @@ func (s *System) Alive(ref *Ref) bool {
 	return ok
 }
 
-// MailboxSize returns the number of messages queued for ref (0 if stopped,
-// and always 0 for an ask's reply slot, which has no mailbox).
+// MailboxSize returns the number of messages queued for ref: 0 if it has
+// stopped or belongs to another system, and always 0 for a proxy or an
+// ask's reply slot, which have no mailbox. It takes no lock.
 func (s *System) MailboxSize(ref *Ref) int {
-	if ref.slot != nil {
+	if ref == nil || ref.sys != s || ref.cell == nil || ref.cell.gone.Load() {
 		return 0
 	}
-	s.mu.Lock()
-	c, ok := s.actors[ref.id]
-	s.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return c.mbox.size()
+	return ref.cell.mbox.size()
 }
 
 // Processed returns the total number of messages processed by all actors.

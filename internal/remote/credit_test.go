@@ -569,3 +569,113 @@ func TestLostGrantHealsOnHeartbeat(t *testing.T) {
 		t.Fatalf("healed by reconnecting: %+v", st)
 	}
 }
+
+// quietCreditPair is twoMemNodes with a small credit window and heartbeats
+// far longer than any test: no heartbeat-forced grant can fire, so a
+// stalled sender resumes only through a grant the receiver sends on its
+// own. It returns the nodes, connected and credited.
+func quietCreditPair(t *testing.T, window int) (a, b *Node) {
+	t.Helper()
+	a, b, _ = twoMemNodes(t, func(c *Config) {
+		c.CreditWindow = window
+		c.OutboxCap = 512
+		c.HeartbeatInterval = time.Hour
+		c.HeartbeatTimeout = 2 * time.Hour
+	})
+	return a, b
+}
+
+// TestCreditReopensOnDequeue: a sender stalled on a full window resumes
+// once the sink drains, with no heartbeat in the test's lifetime — the
+// reopening grant is sent by the worker whose dequeue drops the
+// connection's pending count below the window.
+func TestCreditReopensOnDequeue(t *testing.T) {
+	const window = 8
+	a, b := quietCreditPair(t, window)
+	release := make(chan struct{})
+	var handled atomic.Int64
+	sink := b.System().MustSpawn("sink", func(ctx *actors.Context, msg any) {
+		if _, ok := msg.(tPing); ok {
+			<-release
+			handled.Add(1)
+		}
+	})
+	b.Register("sink", sink)
+	ref, err := a.RefFor("sink@B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Connect("B", 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return a.Stats().CreditedConns > 0 })
+
+	const offered = 200
+	for i := 0; i < offered; i++ {
+		ref.Tell(tPing{N: i})
+	}
+	waitFor(t, 5*time.Second, func() bool { return a.Stats().CreditStalls > 0 })
+	if size := b.System().MailboxSize(sink); size > 2*window {
+		t.Fatalf("stalled receiver holds %d queued messages, want ≤ 2×window = %d", size, 2*window)
+	}
+	close(release)
+	waitFor(t, 10*time.Second, func() bool { return handled.Load() == offered })
+	if st := b.Stats(); st.CreditFramesSent == 0 {
+		t.Fatalf("%d messages crossed a %d-message window without a credit frame: %+v", offered, window, st)
+	}
+	if st := a.Stats(); st.Reconnects != 0 || st.HeartbeatTimeouts != 0 {
+		t.Fatalf("flow resumed by reconnecting: %+v", st)
+	}
+}
+
+// TestCreditStoppedSinkReleasesWindow stops the sink mid-burst while its
+// mailbox holds a full window: the backlog deadletters at teardown, and
+// each deadletter must give its credit back, or the window stays shut for
+// good. Every offered message must then cross the link — to the dead sink's
+// deadletters — and a message to a live actor behind them must arrive.
+func TestCreditStoppedSinkReleasesWindow(t *testing.T) {
+	const window = 8
+	a, b := quietCreditPair(t, window)
+	release := make(chan struct{})
+	var handled atomic.Int64
+	sink := b.System().MustSpawn("sink", func(ctx *actors.Context, msg any) {
+		<-release
+		handled.Add(1)
+		ctx.Stop() // the queued backlog deadletters
+	})
+	b.Register("sink", sink)
+	probed := make(chan struct{})
+	b.Register("probe", b.System().MustSpawn("probe", func(ctx *actors.Context, msg any) { close(probed) }))
+	ref, err := a.RefFor("sink@B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := a.RefFor("probe@B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Connect("B", 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return a.Stats().CreditedConns > 0 })
+
+	const offered = 200
+	for i := 0; i < offered; i++ {
+		ref.Tell(tPing{N: i})
+	}
+	probe.Tell(tPing{N: -1})
+	waitFor(t, 5*time.Second, func() bool { return a.Stats().CreditStalls > 0 })
+	close(release)
+	select {
+	case <-probed:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("link wedged after the sink stopped: %+v", a.Stats())
+	}
+	// The probe came in behind every offered frame; the last deadletters
+	// may still be in the sink's teardown.
+	waitFor(t, 5*time.Second, func() bool { return handled.Load()+b.System().DeadLetters() >= offered })
+	if got := handled.Load() + b.System().DeadLetters(); got != offered {
+		t.Fatalf("handled %d + deadlettered %d = %d, want all %d offered",
+			handled.Load(), b.System().DeadLetters(), got, offered)
+	}
+}

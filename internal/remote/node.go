@@ -647,9 +647,8 @@ func (n *Node) serveConn(c Conn) {
 	defer n.wg.Done()
 	defer c.Close()
 	sess := newDecSession()
-	cred := newCreditState(n)
-	defer close(cred.closed) // stop any drain watcher
-	var env WireEnvelope     // reused decode target
+	cred := newCreditState(n, c)
+	var env WireEnvelope // reused decode target
 	for {
 		frame, err := c.Recv()
 		if err != nil {
@@ -674,9 +673,9 @@ func (n *Node) serveConn(c Conn) {
 			if n.sys.Tracer() != nil {
 				flags = frameFlagTraced
 			}
-			cred.ack(c, flags)
+			cred.ack(flags)
 		case FrameHeartbeat:
-			cred.onHeartbeat(c, int64(w.Seq))
+			cred.onHeartbeat(int64(w.Seq))
 			if c.Send(n.hbAck) == nil {
 				n.bytesSent.Add(int64(len(n.hbAck)))
 			}
@@ -684,7 +683,8 @@ func (n *Node) serveConn(c Conn) {
 			if n.cfg.RecordWire {
 				n.recordWire("recv", w.FromAddr, w.Seq, lam, payloadType(w.Payload))
 			}
-			cred.onDelivered(c, n.dispatch(w))
+			n.dispatch(w, cred)
+			cred.onDelivered()
 		case FrameGossip:
 			if g := n.cfg.Gossip; g != nil && w.To != "" {
 				n.gossipRecv.Add(1)
@@ -695,120 +695,109 @@ func (n *Node) serveConn(c Conn) {
 }
 
 // creditState is the receiver half of flow control for one inbound
-// connection: it counts delivered messages, remembers which local mailboxes
-// this connection has delivered into, and returns cumulative grants — the
-// hello-ack first, then piggybacked on the message path (batched), forced on
-// heartbeats, and issued by a drain watcher when the window closes
-// mid-burst — as long as the backlog in those mailboxes stays below the
-// window. The mutex covers the read loop and the watcher goroutine.
+// connection. It counts the messages the connection delivered and those of
+// them still waiting in local mailboxes (pending), and returns cumulative
+// grants — the hello-ack first, then piggybacked on the message path
+// (batched) and forced on heartbeats — while pending stays below the
+// window. A grant withheld because pending reached the window is sent by
+// the release that drops pending below it: the worker dequeuing a message
+// reopens the window, so a stalled sender resumes without waiting for a
+// heartbeat.
 type creditState struct {
 	n      *Node
+	c      Conn
 	window int64
-	closed chan struct{} // closed when the serving read loop exits
+	// pending counts this connection's messages that a local mailbox or
+	// worker batch holds and no worker has dequeued for processing yet.
+	// dispatch adds one before the put; release takes it back.
+	pending atomic.Int64
+	release func() // cr.released, bound once and handed to every put
 
 	mu        sync.Mutex
-	delivered int64 // FrameMsg received (or known lost) since the connection opened
-	granted   int64 // last cumulative grant sent
-	targets   map[*actors.Ref]struct{}
+	delivered int64  // FrameMsg received (or known lost) since the connection opened
+	granted   int64  // last cumulative grant sent
 	scratch   []byte // grow-only encode buffer for grant frames
-	watching  bool   // a drain watcher goroutine is live
 }
 
-func newCreditState(n *Node) *creditState {
-	return &creditState{
-		n: n, window: int64(n.cfg.CreditWindow),
-		targets: map[*actors.Ref]struct{}{},
-		closed:  make(chan struct{}),
-	}
+func newCreditState(n *Node, c Conn) *creditState {
+	cr := &creditState{n: n, c: c, window: int64(n.cfg.CreditWindow)}
+	cr.release = cr.released
+	return cr
 }
 
-// backlogLocked sums the mailbox occupancy of every actor this connection
-// has delivered into, pruning the ones that drained to zero (dead actors —
-// ask replies, mostly — read as zero and fall out here, bounding the map).
-// Callers hold cr.mu.
-func (cr *creditState) backlogLocked() int64 {
-	var total int64
-	for ref := range cr.targets {
-		size := int64(cr.n.sys.MailboxSize(ref))
-		if size == 0 {
-			delete(cr.targets, ref)
-			continue
-		}
-		total += size
+// released takes back one pending message: the worker dequeued it, or it
+// deadlettered. The release that takes pending from the window to one below
+// it sends a grant, because the read loop may have withheld one and there
+// may be no further inbound frame to send it. No withheld grant is missed:
+// pending was at least the window when the read loop withheld it under mu,
+// pending moves one step at a time, so it can only fall below the window
+// through such a release, and that release takes mu after the read loop.
+func (cr *creditState) released() {
+	if cr.pending.Add(-1) == cr.window-1 {
+		cr.mu.Lock()
+		cr.grantLocked(true)
+		cr.mu.Unlock()
 	}
-	return total
 }
 
 // ack answers the hello with the connection's first grant: a full window
 // past whatever has been delivered (nothing, unless the hello was late).
-func (cr *creditState) ack(c Conn, flags uint8) {
+func (cr *creditState) ack(flags uint8) {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	want := max(cr.granted, cr.delivered+cr.window)
-	if cr.sendLocked(c, FrameHelloAck, flags, want) {
+	if cr.sendLocked(FrameHelloAck, flags, want) {
 		cr.n.creditedConns.Add(1)
 	}
 }
 
 // onDelivered records one dispatched message and runs the batched grant
 // path — the per-frame hook on the read loop.
-func (cr *creditState) onDelivered(c Conn, target *actors.Ref) {
+func (cr *creditState) onDelivered() {
 	cr.mu.Lock()
 	cr.delivered++
-	if target != nil {
-		cr.targets[target] = struct{}{}
-	}
-	cr.grantLocked(c, false)
+	cr.grantLocked(false)
 	cr.mu.Unlock()
 }
 
 // onHeartbeat takes the dialer's written-message count: on an ordered
 // connection everything written before the probe has arrived or been lost,
 // so the lost ones count as delivered and stop shrinking the window. It then
-// forces a grant, skipping the quarter-window batching so a drained backlog
-// is reported even when no messages flow.
-func (cr *creditState) onHeartbeat(c Conn, written int64) {
+// forces a grant, skipping the quarter-window batching.
+func (cr *creditState) onHeartbeat(written int64) {
 	cr.mu.Lock()
 	cr.delivered = max(cr.delivered, written)
-	cr.grantLocked(c, true)
+	cr.grantLocked(true)
 	cr.mu.Unlock()
 }
 
-// grantLocked returns credits to the sender when the receiver has headroom:
-// the cumulative target is delivered+window, withheld while the tracked
-// mailbox backlog has consumed the window (that is the backpressure), and
-// batched to quarter-window steps on the message path so a flood costs ~4
-// credit frames per window, not one per message. When the window is
-// consumed there may be no further inbound frame to re-run this path — the
-// sender is stalled waiting on us — so a watcher goroutine polls the drain
-// and issues the reopening grant; heartbeats remain the coarse backstop.
+// grantLocked returns credits to the sender when the window is open: the
+// cumulative target is delivered+window, withheld while this connection's
+// pending messages fill the window (that is the backpressure), and batched
+// to quarter-window steps on the message path so a flood costs ~4 credit
+// frames per window, not one per message.
 //
 // A forced grant resends the current cumulative grant even when it has not
 // moved, so a lost hello-ack or FrameCredit heals within one heartbeat.
-func (cr *creditState) grantLocked(c Conn, force bool) {
+func (cr *creditState) grantLocked(force bool) {
 	want := cr.granted
-	if cr.backlogLocked() >= cr.window {
-		if !cr.watching {
-			cr.watching = true
-			go cr.watchDrain(c)
-		}
-	} else if w := cr.delivered + cr.window; w > want && (force || w-want >= cr.window/4) {
+	if w := cr.delivered + cr.window; cr.pending.Load() < cr.window && w > want && (force || w-want >= cr.window/4) {
 		want = w
 	}
 	if want > cr.granted || (force && want > 0) {
-		cr.sendLocked(c, FrameCredit, 0, want)
+		cr.sendLocked(FrameCredit, 0, want)
 	}
 }
 
 // sendLocked writes one grant frame (hello-ack or credit) for the cumulative
 // grant want and records it; false means the connection is dying, which the
 // reader will notice.
-func (cr *creditState) sendLocked(c Conn, kind FrameKind, flags uint8, want int64) bool {
+func (cr *creditState) sendLocked(kind FrameKind, flags uint8, want int64) bool {
 	n := cr.n
 	cr.scratch = appendEnvelope(cr.scratch[:0], &WireEnvelope{
 		Kind: kind, flags: flags, FromAddr: n.addr, Seq: uint64(want),
 	})
-	if c.Send(cr.scratch) != nil {
+	if cr.c.Send(cr.scratch) != nil {
 		return false
 	}
 	n.bytesSent.Add(int64(len(cr.scratch)))
@@ -820,40 +809,10 @@ func (cr *creditState) sendLocked(c Conn, kind FrameKind, flags uint8, want int6
 	return true
 }
 
-// watchDrain polls the tracked mailboxes until they drain below one window,
-// then issues the grant that unstalls the sender. Polling backs off toward
-// 5ms so a long-stalled consumer costs a few wakeups per heartbeat, not a
-// spin; the watcher exits once it has granted (a fresh one is spawned if
-// the window closes again) or when the connection's read loop ends.
-func (cr *creditState) watchDrain(c Conn) {
-	sleep := 100 * time.Microsecond
-	for {
-		select {
-		case <-cr.closed:
-			cr.mu.Lock()
-			cr.watching = false
-			cr.mu.Unlock()
-			return
-		case <-time.After(sleep):
-		}
-		cr.mu.Lock()
-		if cr.backlogLocked() < cr.window {
-			cr.watching = false
-			cr.grantLocked(c, true)
-			cr.mu.Unlock()
-			return
-		}
-		cr.mu.Unlock()
-		if sleep < 5*time.Millisecond {
-			sleep *= 2
-		}
-	}
-}
-
-// dispatch routes one inbound application frame into the local system,
-// returning the resolved target (nil when it deadlettered) so the
-// connection's credit state can track which mailboxes it feeds.
-func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
+// dispatch routes one inbound application frame into the local system. A
+// message handed to a live target counts as pending on the connection's
+// credit state until the target dequeues or deadletters it.
+func (n *Node) dispatch(w *WireEnvelope, cr *creditState) {
 	var sender *actors.Ref
 	if w.FromID != 0 && w.FromAddr != "" {
 		sender = n.idProxy(w.FromName+"@"+w.FromAddr, w.FromAddr, w.FromID)
@@ -890,7 +849,7 @@ func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
 		// refusal kind).
 		n.remoteDead.Add(1)
 		n.tombstone(w).TellSpan(sender, w.Payload, sp)
-		return nil
+		return
 	}
 	// No-wait delivery: this runs on the connection's reader goroutine, and
 	// a send that blocked on a full bounded mailbox would stall heartbeat
@@ -899,10 +858,10 @@ func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
 	// system) — the credit window, not the reader, is the backpressure.
 	// TellSpan also suppresses local trace origination: roots start at the
 	// client's send, never mid-flight on a forwarded message.
-	if !target.TellSpanNoWait(sender, w.Payload, sp) {
+	cr.pending.Add(1)
+	if !target.TellSpanNoWait(sender, w.Payload, sp, cr.release) {
 		n.inboundShed.Add(1)
 	}
-	return target
 }
 
 // tombstone returns an always-deadletter proxy for a frame whose target
