@@ -472,9 +472,9 @@ func BenchmarkAblationNotifyOneVsAll(b *testing.B) {
 }
 
 func BenchmarkAblationCoroHandoff(b *testing.B) {
-	// Coroutine handoff (channel handshake, as implemented) vs a raw
-	// channel ping-pong — what the handshake would cost without the
-	// status machine.
+	// Coroutine switch (iter.Pull, as implemented, with the status
+	// machine) vs a raw channel ping-pong — the round trip through the
+	// run queue that a channel-handshake coroutine would pay per switch.
 	b.Run("coroutine", func(b *testing.B) {
 		co := coro.New(func(y *coro.Yielder, in any) any {
 			for {

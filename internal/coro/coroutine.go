@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package coro implements the coroutine model the course teaches with
 // Python, following the taxonomy of de Moura & Ierusalimschy ("Revisiting
 // Coroutines", the paper's reference [5]): coroutines here are
@@ -5,18 +7,23 @@
 //   - first-class: Coroutine values can be stored, passed, and resumed
 //     from anywhere;
 //   - stackful: a coroutine may suspend from within nested calls, because
-//     each coroutine runs on its own (goroutine) stack;
+//     each coroutine runs on its own stack (an iter.Pull goroutine that the
+//     runtime switches to and from directly, not through the run queue);
 //   - both asymmetric (Resume/Yield, like Lua and Python generators) and
 //     symmetric (Transfer, via the trampoline in symmetric.go).
 //
 // Per the paper's quoted definition [4]: local data persists between
 // successive calls, and execution resumes exactly where it left off.
+//
+// The package needs Go 1.23 for iter.Pull; the build constraint above
+// raises this file's language version while go.mod stays at 1.22.
 package coro
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"iter"
+	"sync/atomic"
 )
 
 // Status is a coroutine's lifecycle state, mirroring Lua's
@@ -66,25 +73,23 @@ func (e PanicError) Error() string { return fmt.Sprintf("coro: coroutine panicke
 // suspend.
 type Body func(y *Yielder, in any) any
 
-// message is the handshake payload between Resume and Yield.
-type message struct {
-	val  any
-	done bool  // body returned
-	err  error // body panicked
-}
-
 // Coroutine is a first-class stackful coroutine. Create with New, drive
 // with Resume. A Coroutine must only be resumed by one goroutine at a time
 // (enforced: concurrent Resume returns ErrRunning rather than corrupting
-// the handshake).
+// the switch).
 type Coroutine struct {
-	body    Body
-	in      chan any
-	out     chan message
-	started bool
+	body   Body
+	status atomic.Int32 // a Status; Resume claims the coroutine by CAS
 
-	mu     sync.Mutex
-	status Status
+	// The iter.Pull pair the body runs under, made by the first Resume.
+	next func() (any, bool)
+	stop func()
+	// Only the side that holds control touches these; iter.Pull's switch
+	// orders the accesses.
+	yield func(any) bool
+	inbox any   // the value of the pending Resume
+	ret   any   // the body's return value, once it has finished
+	err   error // the body's PanicError, once it has panicked
 }
 
 // New creates a suspended coroutine that will run body when first resumed.
@@ -92,87 +97,80 @@ func New(body Body) *Coroutine {
 	if body == nil {
 		panic("coro: nil body")
 	}
-	return &Coroutine{
-		body:   body,
-		in:     make(chan any),
-		out:    make(chan message),
-		status: StatusSuspended,
-	}
+	return &Coroutine{body: body}
 }
 
 // Status returns the coroutine's current lifecycle state.
-func (c *Coroutine) Status() Status {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.status
-}
-
-func (c *Coroutine) setStatus(s Status) {
-	c.mu.Lock()
-	c.status = s
-	c.mu.Unlock()
-}
+func (c *Coroutine) Status() Status { return Status(c.status.Load()) }
 
 // Resume transfers control to the coroutine, passing v (delivered as the
 // body's `in` on first resume, or as Yield's return value subsequently).
 // It returns the value the coroutine yields or returns. done is true when
 // the body has returned (the coroutine is dead).
 func (c *Coroutine) Resume(v any) (out any, done bool, err error) {
-	c.mu.Lock()
-	switch c.status {
-	case StatusDead:
-		c.mu.Unlock()
-		return nil, true, ErrDead
-	case StatusRunning, StatusNormal:
-		c.mu.Unlock()
+	if !c.status.CompareAndSwap(int32(StatusSuspended), int32(StatusRunning)) {
+		if c.Status() == StatusDead {
+			return nil, true, ErrDead
+		}
 		return nil, false, ErrRunning
 	}
-	c.status = StatusRunning
-	first := !c.started
-	c.started = true
-	c.mu.Unlock()
-
-	if first {
-		go c.run()
+	if c.next == nil {
+		c.next, c.stop = iter.Pull(c.run)
 	}
-	c.in <- v
-	m := <-c.out
-	if m.done || m.err != nil {
-		c.setStatus(StatusDead)
-	} else {
-		c.setStatus(StatusSuspended)
+	c.inbox = v
+	if out, ok := c.next(); ok {
+		c.status.Store(int32(StatusSuspended))
+		return out, false, nil
 	}
-	return m.val, m.done || m.err != nil, m.err
+	c.status.Store(int32(StatusDead))
+	return c.ret, true, c.err
 }
 
-func (c *Coroutine) run() {
-	in := <-c.in
-	y := &Yielder{c: c}
+// run is the iterator iter.Pull drives. It ends by returning, so the
+// body's goroutine exits before the final next returns, and it recovers
+// the body's panic itself rather than letting next re-raise it.
+func (c *Coroutine) run(yield func(any) bool) {
+	c.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
-			c.out <- message{err: PanicError{Value: r}}
+			if _, stopped := r.(stopSignal); !stopped {
+				c.err = PanicError{Value: r}
+			}
 		}
 	}()
+	in := c.inbox
 	if k, ok := in.(killSignal); ok {
 		panic(k.reason)
 	}
-	ret := c.body(y, in)
-	c.out <- message{val: ret, done: true}
+	c.ret = c.body(&Yielder{c: c}, in)
 }
 
 // killSignal is a poison resume value: when a suspended coroutine receives
 // it, the panic is raised *inside* the coroutine body at its current yield
-// point, so deferred cleanup runs and the coroutine dies cleanly (its
-// goroutine exits) instead of leaking parked on the resume channel.
+// point, so deferred cleanup runs and the coroutine dies cleanly.
 type killSignal struct{ reason any }
 
+// stopSignal unwinds a body whose coroutine was closed (see close): Yield
+// panics with it, and run recovers it as a normal end.
+type stopSignal struct{}
+
 // Kill resumes the coroutine with a poison value that panics inside the
-// body with the given reason. The resulting PanicError (wrapping reason) is
+// body with the given reason, so the body's deferred calls run and its
+// stack is released. The resulting PanicError (wrapping reason) is
 // returned; the coroutine is dead afterwards. Killing an unstarted
 // coroutine starts and immediately fails it.
 func (c *Coroutine) Kill(reason any) error {
 	_, _, err := c.Resume(killSignal{reason: reason})
 	return err
+}
+
+// close makes a suspended coroutine dead without an error: a started body
+// unwinds from its yield point (its deferred calls run) and its stack is
+// released. It does nothing to a running or dead coroutine.
+func (c *Coroutine) close() {
+	if c.status.CompareAndSwap(int32(StatusSuspended), int32(StatusDead)) && c.stop != nil {
+		c.stop()
+	}
 }
 
 // Yielder is the in-coroutine capability to suspend. It is only valid
@@ -182,8 +180,10 @@ type Yielder struct{ c *Coroutine }
 // Yield suspends the coroutine, delivering v to the pending Resume, and
 // blocks until resumed again; it returns the value passed to that Resume.
 func (y *Yielder) Yield(v any) any {
-	y.c.out <- message{val: v}
-	in := <-y.c.in
+	if !y.c.yield(v) {
+		panic(stopSignal{})
+	}
+	in := y.c.inbox
 	if k, ok := in.(killSignal); ok {
 		panic(k.reason)
 	}

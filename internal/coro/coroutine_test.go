@@ -3,6 +3,7 @@ package coro
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -289,4 +290,57 @@ func ExampleCoroutine() {
 	// yielded first
 	// got world
 	// returned done true
+}
+
+func TestGeneratorStopUnwindsProducer(t *testing.T) {
+	cleanups := 0
+	g := NewGenerator(func(yield func(int)) {
+		defer func() { cleanups++ }()
+		for i := 0; ; i++ {
+			yield(i)
+		}
+	})
+	g.Next()
+	g.Next()
+	g.Stop()
+	if cleanups != 1 {
+		t.Fatalf("producer cleanups after Stop = %d, want 1", cleanups)
+	}
+	if _, ok := g.Next(); ok {
+		t.Fatal("stopped generator should be exhausted")
+	}
+}
+
+// A coroutine that finishes, is killed, or is stopped must release its
+// goroutine by the time the call returns, with no sleep or GC in between.
+func TestCoroutinesReleaseGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		co := New(func(y *Yielder, in any) any {
+			y.Yield(in)
+			return in
+		})
+		if _, _, err := co.Drain(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		co := New(func(y *Yielder, _ any) any {
+			for {
+				y.Yield(nil)
+			}
+		})
+		co.Resume(nil)
+		if err := co.Kill("shutdown"); err == nil {
+			t.Fatal("Kill of a suspended coroutine should report its panic")
+		}
+	}
+	for i := 0; i < 100; i++ {
+		g := Naturals()
+		g.Next()
+		g.Stop()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before, %d after; %d leaked", before, after, after-before)
+	}
 }

@@ -39,10 +39,9 @@ func (g *Generator[T]) Collect() []T {
 	}
 }
 
-// Stop abandons the generator. Further Next calls return ok=false.
-// The producer goroutine is left parked; it is collected when the
-// generator becomes unreachable only if the producer has finished, so
-// prefer draining generators in long-lived processes.
+// Stop abandons the generator. Further Next calls return ok=false. A
+// producer suspended in yield unwinds from there: its deferred calls run
+// and its goroutine exits. Stop does nothing while a Next is in progress.
 func (g *Generator[T]) Stop() {
-	g.co.setStatus(StatusDead)
+	g.co.close()
 }
