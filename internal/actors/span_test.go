@@ -116,35 +116,6 @@ func TestUntracedSystemOriginatesNothing(t *testing.T) {
 	}
 }
 
-// TestTakeSpanTransfersOwnership: a handler that takes the span owns the
-// seal — processOne must not finish it, and the taker's Finish publishes
-// exactly one span.
-func TestTakeSpanTransfersOwnership(t *testing.T) {
-	tr := trace.NewTracer(1, 0)
-	sys := NewSystem(Config{Tracer: tr})
-	defer sys.Shutdown()
-	taken := make(chan *trace.Span, 1)
-	router := sys.MustSpawn("router", func(ctx *Context, msg any) {
-		sp := ctx.TakeSpan()
-		sp.Mark(trace.StageHandler, trace.SpanNow())
-		taken <- sp
-	})
-	router.Tell("route-me")
-	sp := <-taken
-	// Give processOne a chance to (wrongly) seal it.
-	time.Sleep(10 * time.Millisecond)
-	if sp.Finished() {
-		t.Fatal("processOne sealed a taken span")
-	}
-	if n := len(tr.Spans()); n != 0 {
-		t.Fatalf("ring holds %d spans before the taker finished", n)
-	}
-	sp.Finish(trace.SpanNow())
-	if v := waitSpans(t, tr, 1)[0]; v.Dead != "" {
-		t.Fatalf("taken span sealed dead: %+v", v)
-	}
-}
-
 // TestTraceOverheadSmoke is the CI bound for the tracing tentpole: with
 // default 1-in-64 sampling, the traced Tell path must stay within 1.5x of
 // the untraced baseline (the generous CI multiple of the issue's target,

@@ -482,7 +482,7 @@ func (s *System) processOne(c *cell, e Envelope) step {
 	}
 	// Traced delivery: close the mailbox stage (origination/arrival →
 	// dequeue) and expose the span to the behavior, so in-handler sends can
-	// continue the trace and the cluster router can take the span onward.
+	// continue the trace.
 	sp := e.Span
 	if sp != nil {
 		sp.Mark(trace.StageMailbox, trace.SpanNow())
@@ -511,18 +511,14 @@ func (s *System) processOne(c *cell, e Envelope) step {
 		panicked, reason = s.invoke(c, ctx, e.Msg)
 	}
 	if sp != nil {
-		// Seal the span unless the handler took it (cluster routing hands
-		// the span to the next hop, which then owns the ledger).
 		now := trace.SpanNow()
-		if !ctx.spanTaken {
-			if panicked {
-				sp.FinishDead("panic", now)
-			} else {
-				sp.Mark(trace.StageHandler, now)
-				sp.Finish(now)
-			}
+		if panicked {
+			sp.FinishDead("panic", now)
+		} else {
+			sp.Mark(trace.StageHandler, now)
+			sp.Finish(now)
 		}
-		ctx.span, ctx.spanTaken = nil, false
+		ctx.span = nil
 	}
 	if panicked {
 		if c.sup == nil {
@@ -1014,10 +1010,8 @@ type Context struct {
 	stopped bool
 
 	// span is the trace context of the message being processed (nil when
-	// untraced); spanTaken flips when a handler hands the span to the next
-	// hop (TakeSpan), telling processOne not to seal it.
-	span      *trace.Span
-	spanTaken bool
+	// untraced); processOne seals it when the behavior returns.
+	span *trace.Span
 }
 
 // Self returns the actor's own Ref.
@@ -1052,17 +1046,6 @@ func (c *Context) Send(to *Ref, msg any) {
 // Span returns the trace span riding the message being processed, nil when
 // the message is untraced.
 func (c *Context) Span() *trace.Span { return c.span }
-
-// TakeSpan transfers ownership of the current message's span to the caller:
-// processOne will not seal it, so the caller must attach it to the next hop
-// (TellSpan, remote forward) or Finish it. The caller should Mark the
-// handler stage at the moment of the handoff. Returns nil when untraced.
-func (c *Context) TakeSpan() *trace.Span {
-	if c.span != nil {
-		c.spanTaken = true
-	}
-	return c.span
-}
 
 // Reply sends msg to the sender of the current message; it is a deadletter
 // if the sender was not recorded.

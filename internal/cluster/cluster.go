@@ -9,7 +9,8 @@
 //   - grains (this file): RefFor("user-12345") returns a proxy whose sends
 //     resolve the owning node per delivery. On the owner, the grain is
 //     activated on first message via the configured factory and passivated
-//     when idle; elsewhere the message is forwarded to the owner's router.
+//     when idle; elsewhere the message is forwarded to the owner's router,
+//     which the owner's wire reader runs inline.
 //
 // Delivery is at-most-once end to end, exactly like the wire layer under it:
 // a rebalance can shed in-flight messages (as retryable ErrShardMoving
@@ -38,6 +39,8 @@ import (
 
 // RouterName is the well-known remote.Node registration every cluster node
 // exports: forwarded grain messages address it as "cluster!router@<owner>".
+// It names a proxy Ref, not an actor: the connection reader that decodes a
+// forwarded message routes it on the spot (routeForwarded).
 const RouterName = "cluster!router"
 
 // maxHops bounds re-forwarding while membership views disagree: a message
@@ -167,8 +170,6 @@ type Cluster struct {
 	addr string
 	mem  *membership
 
-	router *actors.Ref
-
 	gmu         sync.RWMutex
 	grains      map[string]*grain
 	refs        map[string]*actors.Ref
@@ -193,6 +194,7 @@ type Cluster struct {
 	parkedTotal  atomic.Int64
 	parkedFlush  atomic.Int64
 	parkedShed   atomic.Int64
+	inboundShed  atomic.Int64
 	handoffHist  atomic.Pointer[metrics.LatencyHistogram]
 
 	done chan struct{}
@@ -235,8 +237,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.addr = node.Addr()
 	c.mem.start(c.addr, cfg.Seeds, time.Now())
 
-	c.router = c.sys.MustSpawn(RouterName, c.routeInbound)
-	node.Register(RouterName, c.router)
+	node.Register(RouterName, c.sys.NewProxyRefStatus(RouterName, c.routeForwarded))
 
 	// Dial every seed now: the links carry the join gossip, and their
 	// OnLinkState transitions are the failure detector.
@@ -309,7 +310,7 @@ func (c *Cluster) RefFor(name string) *actors.Ref {
 		// Span ownership only transfers on ProxyDelivered (delivered, parked,
 		// or forwarded); on a refusal it stays with e and the caller's
 		// deadletter path seals it with the refusal kind.
-		return c.route(ge, e.Sender, e.Span)
+		return c.route(ge, e.Sender, e.Span, false)
 	})
 	c.gmu.Lock()
 	defer c.gmu.Unlock()
@@ -327,7 +328,13 @@ func (c *Cluster) RefFor(name string) *actors.Ref {
 // it travels with the message (into the grain's mailbox, the parking buffer,
 // or the next wire hop); route never seals it — refusals return to a caller
 // whose deadletter path does.
-func (c *Cluster) route(ge GrainEnvelope, sender *actors.Ref, sp *trace.Span) actors.ProxyStatus {
+//
+// noWait is set on the inbound router, which runs on a wire connection's
+// reader: local delivery there never waits on a full bounded grain mailbox
+// but sheds (DLOverloaded in this system, counted in inboundShed), exactly
+// as remote dispatch sheds, so one wedged grain cannot stall the heartbeat
+// acks, credit grants and other grains' messages sharing the connection.
+func (c *Cluster) route(ge GrainEnvelope, sender *actors.Ref, sp *trace.Span, noWait bool) actors.ProxyStatus {
 	if c.isClosed() {
 		return actors.ProxyUnreachable
 	}
@@ -353,7 +360,11 @@ func (c *Cluster) route(ge GrainEnvelope, sender *actors.Ref, sp *trace.Span) ac
 			return status
 		}
 		g.last.Store(time.Now().UnixNano())
-		g.ref.TellSpan(sender, ge.Msg, sp)
+		if !noWait {
+			g.ref.TellSpan(sender, ge.Msg, sp)
+		} else if !g.ref.TellSpanNoWait(sender, ge.Msg, sp, nil) {
+			c.inboundShed.Add(1) // already deadlettered, span sealed
+		}
 		return actors.ProxyDelivered
 	case sv.state == StateSuspect:
 		// The owner is wobbling: its link died but the grace period still
@@ -381,34 +392,31 @@ func (c *Cluster) route(ge GrainEnvelope, sender *actors.Ref, sp *trace.Span) ac
 	}
 }
 
-// routeInbound is the router actor's behavior: it re-resolves every
-// forwarded GrainEnvelope under this node's own view, reconstructing the
-// origin sender so grain replies cross the wire directly back. A message the
-// view re-routes elsewhere is forwarded again (bounded by maxHops); one that
+// routeForwarded is the deliver function of the RouterName proxy, so it runs
+// on the wire reader that decoded the frame: it re-resolves every forwarded
+// GrainEnvelope under this node's own view, reconstructing the origin sender
+// so grain replies cross the wire directly back. A message the view
+// re-routes elsewhere is forwarded again (bounded by maxHops); one that
 // cannot be placed right now parks like a local send would. Refusals here
 // have no caller to return a status to — the origin already got
 // ProxyDelivered from its own node — so they are counted sheds, surfaced to
-// the caller as an Ask timeout and retried into a fresh resolution.
-func (c *Cluster) routeInbound(ctx *actors.Context, msg any) {
-	ge, ok := msg.(GrainEnvelope)
+// the caller as an Ask timeout and retried into a fresh resolution. Either
+// way the message and its span are taken: the span, adopted and wire-marked
+// by the reader, goes on with the message to its next hop.
+func (c *Cluster) routeForwarded(e actors.Envelope) actors.ProxyStatus {
+	ge, ok := e.Msg.(GrainEnvelope)
 	if !ok {
-		return
+		return actors.ProxyUnreachable // not routable: deadletters here
 	}
 	var sender *actors.Ref
 	if ge.FromID != 0 && ge.FromAddr != "" {
 		sender = c.node.RefByID(ge.FromAddr, ge.FromID, ge.FromName+"@"+ge.FromAddr)
 	}
-	// Take ownership of the span so processOne does not seal it when this
-	// handler returns: routing is a relay, and the span belongs to the
-	// message's next hop. The handler stage absorbs the router's own work.
-	sp := ctx.TakeSpan()
-	if sp != nil {
-		sp.Mark(trace.StageHandler, trace.SpanNow())
-	}
-	if c.route(ge, sender, sp) != actors.ProxyDelivered {
+	if c.route(ge, sender, e.Span, true) != actors.ProxyDelivered {
 		c.parkedShed.Add(1)
-		sp.FinishDead(actors.DLMoving.String(), trace.SpanNow())
+		e.Span.FinishDead(actors.DLMoving.String(), trace.SpanNow())
 	}
+	return actors.ProxyDelivered
 }
 
 // activate returns the live local activation of name, creating it if
@@ -653,7 +661,7 @@ func (c *Cluster) sweep(now time.Time) {
 			p.sp.Mark(trace.StagePark, trace.SpanNow())
 			// Redelivery re-enters route, which may re-park under a view
 			// that shifted again — bounded by the same buffer.
-			if st := c.route(p.ge, p.sender, p.sp); st == actors.ProxyDelivered {
+			if st := c.route(p.ge, p.sender, p.sp, false); st == actors.ProxyDelivered {
 				c.parkedFlush.Add(1)
 			} else {
 				c.parkedShed.Add(1)

@@ -138,6 +138,39 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 	}
 }
 
+// waitLinksSettled waits until every node's dial-out links are up, every
+// node is quorate, and both have held, with no heartbeat timeout anywhere,
+// for hold. A freshly dialed link is the likeliest to time out: the fixture's
+// 8 ms heartbeat timeout is short next to the scheduling stalls of a loaded
+// 2-core machine at start-up, and a node whose links both time out loses
+// quorum and deposes what it just activated. Tests that count activations
+// start once the links are past that window.
+func (f *testFixture) waitLinksSettled(t *testing.T, hold time.Duration) {
+	t.Helper()
+	var since time.Time
+	timeouts := int64(-1)
+	waitUntil(t, 10*time.Second, "links to settle", func() bool {
+		settled := true
+		var now int64
+		for _, c := range f.nodes {
+			now += c.Node().Stats().HeartbeatTimeouts
+			links := c.Node().Links()
+			settled = settled && c.Quorate() && len(links) == len(f.nodes)-1
+			for _, l := range links {
+				settled = settled && l.State == "up"
+			}
+		}
+		if !settled || now != timeouts {
+			timeouts, since = now, time.Time{}
+			return false
+		}
+		if since.IsZero() {
+			since = time.Now()
+		}
+		return time.Since(since) >= hold
+	})
+}
+
 // converged reports whether every node sees every address alive.
 func (f *testFixture) converged() bool {
 	for _, c := range f.nodes {
@@ -219,6 +252,9 @@ func TestClusterFormsAndPlacesGrains(t *testing.T) {
 func TestSingleActivationAcrossNodes(t *testing.T) {
 	addrs := []string{"n1", "n2", "n3"}
 	f := startCluster(t, addrs, echoFactory)
+	waitUntil(t, 5*time.Second, "membership convergence", f.converged)
+	// Two heartbeat timeouts (the fixture's is 4 × 2 ms) of settled links.
+	f.waitLinksSettled(t, 16*time.Millisecond)
 	waitUntil(t, 5*time.Second, "membership convergence", f.converged)
 
 	// The same grain asked from all three nodes activates exactly once.

@@ -66,6 +66,7 @@ func (c *Cluster) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Gauge(prefix+".cluster.parked", c.parkedTotal.Load)
 	reg.Gauge(prefix+".cluster.parked_flushed", c.parkedFlush.Load)
 	reg.Gauge(prefix+".cluster.parked_shed", c.parkedShed.Load)
+	reg.Gauge(prefix+".cluster.inbound_shed", c.inboundShed.Load)
 	// Per-shard ownership: 1 where this node's view assigns the shard here.
 	// One gauge per shard keeps the exposition greppable per shard ID, which
 	// is what a rebalance dashboard diffs across nodes.
@@ -93,6 +94,9 @@ type Counters struct {
 	Parked       int64
 	ParkedFlush  int64
 	ParkedShed   int64
+	// InboundShed counts forwarded messages shed at a full (or stopped)
+	// grain mailbox: the wire reader that routes them never waits.
+	InboundShed int64
 }
 
 // CounterSnapshot returns the current lifecycle counters.
@@ -107,5 +111,6 @@ func (c *Cluster) CounterSnapshot() Counters {
 		Parked:       c.parkedTotal.Load(),
 		ParkedFlush:  c.parkedFlush.Load(),
 		ParkedShed:   c.parkedShed.Load(),
+		InboundShed:  c.inboundShed.Load(),
 	}
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,21 +20,30 @@ const (
 	linkDown
 )
 
-// link is one dial-out connection to a peer, owned by a single manager
-// goroutine (run) that dials, pumps the outbox, heartbeats, and redials
-// with jittered exponential backoff when the connection dies. Replies from
-// the peer do not travel back on this connection — the peer dials its own
-// link to us — so inbound traffic here is only heartbeat and hello acks.
+// link is one dial-out connection to a peer. A manager goroutine (run)
+// dials, heartbeats, and redials with jittered exponential backoff when the
+// connection dies. Replies from the peer do not travel back on this
+// connection — the peer dials its own link to us — so inbound traffic here
+// is only heartbeat and hello acks and credit grants.
 //
-// The outbox carries envelopes, not frames: encoding happens on the writer
-// goroutine, which owns the connection's payload session and one grow-only
-// scratch buffer, so the steady-state send path allocates nothing and the
-// writer can coalesce every ready envelope into a single buffered write
-// with one flush when the queue goes empty (Nagle without the delay).
+// Frames reach the connection two ways, both under wmu, which guards the
+// live connection's write side: its payload session and its grow-only
+// scratch buffer, so the steady-state send path allocates nothing. A sender
+// that finds the link idle — up, nothing queued, credit available, wmu free
+// — encodes and writes its own frame (tryWrite), with no goroutine handoff.
+// Otherwise the envelope goes to the outbox, and the manager goroutine
+// drains it in coalesced batches with one flush when the queue goes empty
+// (Nagle without the delay), parking on an exhausted credit window. queued
+// counts the envelopes the manager still owes the connection — the outbox
+// plus a credit-parked one — and a sender writes directly only at zero, so
+// no direct write passes an envelope queued before it: per-link FIFO holds
+// across both paths.
 type link struct {
 	n      *Node
 	peer   string
 	outbox chan *WireEnvelope
+	wmu    sync.Mutex
+	queued atomic.Int64
 	state  atomic.Int32 // linkConnecting until the first dial resolves
 	// lastRecv is the unixnano of the last frame read on the current
 	// connection; heartbeat timeout compares against it.
@@ -43,8 +53,8 @@ type link struct {
 	// arrives to observe one round-trip sample. A probe that dies with its
 	// connection leaves a stale stamp, overwritten by the next probe.
 	hbSentAt atomic.Int64
-	// cs is the live connection's wire state, for observers only (the
-	// per-link credits gauge); nil between connections.
+	// cs is the live connection's wire state, published for direct writers
+	// and the per-link credits gauge; nil between connections.
 	cs atomic.Pointer[connState]
 	// reported is the last liveness state surfaced through
 	// Config.OnLinkState: 0 never reported, 1 up, 2 down. Owned by the
@@ -57,7 +67,7 @@ func newLink(n *Node, peer string) *link {
 	return &link{n: n, peer: peer, outbox: make(chan *WireEnvelope, n.cfg.OutboxCap)}
 }
 
-// enqResult says what enqueue did with an envelope, so the caller can pick
+// enqResult says what send did with an envelope, so the caller can pick
 // the matching deadletter kind: a down link is an unreachable peer
 // (DLRemote), a full outbox on a live link is overload (DLOverloaded).
 type enqResult int
@@ -68,20 +78,60 @@ const (
 	enqFull
 )
 
-// enqueue hands an envelope to the link without blocking. Anything but
-// enqOK means the caller deadletters (and releases) the envelope. A
-// connecting link accepts (buffers) the envelope: the peer is not yet known
-// unreachable.
-func (l *link) enqueue(w *WireEnvelope) enqResult {
+// send hands an envelope to the link without waiting on the manager:
+// written on the caller's goroutine when the link is idle, queued for the
+// manager otherwise. Anything but enqOK means the caller deadletters (and
+// releases) the envelope. A connecting link accepts (buffers) the envelope:
+// the peer is not yet known unreachable.
+func (l *link) send(w *WireEnvelope) enqResult {
 	if l.state.Load() == linkDown {
 		return enqDown
 	}
+	if l.tryWrite(w) {
+		return enqOK
+	}
+	l.queued.Add(1)
 	select {
 	case l.outbox <- w:
 		return enqOK
 	default:
+		l.queued.Add(-1)
 		return enqFull
 	}
+}
+
+// tryWrite is the sender's direct path: when a connection is live, nothing
+// is queued, credit is available and no one else is writing, it encodes and
+// writes w itself and reports true — w is then consumed, written or (on a dead connection) lost
+// like any frame written into a dying socket. False leaves w with the
+// caller, to queue. It never waits for wmu: a busy link means the manager or
+// another sender is writing, and queueing behind them is what keeps FIFO.
+func (l *link) tryWrite(w *WireEnvelope) bool {
+	cs := l.cs.Load()
+	if cs == nil || l.queued.Load() != 0 || cs.available() <= 0 || !l.wmu.TryLock() {
+		return false
+	}
+	defer l.wmu.Unlock()
+	// Re-check under the lock: the manager may have dequeued or parked an
+	// envelope, or torn the connection down, since the unlocked look. Only
+	// writers holding wmu consume credit, so available cannot drop now.
+	if cs.dead || l.queued.Load() != 0 || cs.available() <= 0 {
+		return false
+	}
+	sent, ok := l.writeFrame(cs, w, false)
+	if !ok {
+		// The manager's teardown, started from here: no frame may follow
+		// on this connection or session. Closing it ends the ack reader,
+		// which ends the manager's serve loop, and the manager redials.
+		cs.dead = true
+		_ = cs.conn.Close()
+	}
+	if sent {
+		l.n.batches.Add(1)
+		l.n.batchedFrames.Add(1)
+		l.n.directWrites.Add(1)
+	}
+	return true
 }
 
 // credits reports the live connection's available credit, or -1 when the
@@ -156,19 +206,25 @@ func (l *link) run() {
 	}
 }
 
-// connState is the per-connection wire state the writer owns. Everything
-// is connection-scoped: a reconnect starts a fresh payload session and a
-// fresh credit window on both ends.
+// connState is the per-connection wire state. Everything is
+// connection-scoped: a reconnect starts a fresh payload session and a fresh
+// credit window on both ends.
 type connState struct {
+	conn Conn
+	// sess, scratch and dead belong to whoever holds the link's wmu. dead
+	// is set once a write failed or the manager tore the connection down;
+	// nothing is written after it.
 	sess    *encSession
 	scratch []byte // grow-only encode buffer, reused for every frame
+	dead    bool
 
 	// Credit flow control. granted is the peer's cumulative grant (reader →
-	// writer, monotonic; one until the hello-ack arrives); consumed counts
-	// FrameMsg written since the connection opened (writer-owned, atomic
-	// only so the credits gauge can read it). available = granted−consumed;
-	// at ≤ 0 the writer parks the next message until the reader signals
-	// creditCh (capacity 1 — a wakeup token, not a value).
+	// writers, monotonic; one until the hello-ack arrives); consumed counts
+	// FrameMsg written since the connection opened (written under wmu,
+	// atomic so senders and the credits gauge can read it). available =
+	// granted−consumed; at ≤ 0 senders queue, and the manager parks the next
+	// message until the reader signals creditCh (capacity 1 — a wakeup
+	// token, not a value).
 	granted  atomic.Int64
 	consumed atomic.Int64
 	creditCh chan struct{}
@@ -207,22 +263,27 @@ func (cs *connState) grant(g int64) {
 // timeout, or the node closes.
 func (l *link) serve(conn Conn) {
 	n := l.n
-	cs := &connState{sess: newEncSession(), creditCh: make(chan struct{}, 1)}
+	cs := &connState{conn: conn, sess: newEncSession(), creditCh: make(chan struct{}, 1)}
 	// The hello carries an implicit grant of one message: the first message
 	// of a connection does not wait a round trip, and a connection whose
 	// hello is lost still writes (and loses) it, which is the loss a wire
 	// recording captures. Everything after it waits for the hello-ack.
 	cs.granted.Store(1)
-	if !l.sendControl(conn, cs, &WireEnvelope{
+	if !l.sendControl(cs, &WireEnvelope{
 		Kind: FrameHello, FromAddr: n.addr, Seq: wireProtocol, Lamport: n.clock.Tick(),
 	}) {
 		return
 	}
 	l.lastRecv.Store(time.Now().UnixNano())
+	l.cs.Store(cs)
 	l.state.Store(linkUp)
 	l.notify(true)
-	l.cs.Store(cs)
-	defer l.cs.Store(nil)
+	defer func() {
+		l.wmu.Lock()
+		cs.dead = true
+		l.wmu.Unlock()
+		l.cs.Store(nil)
+	}()
 
 	// Reader: the only inbound traffic on a dial-out connection is the
 	// hello-ack, heartbeat acks, and credit grants — header-only frames,
@@ -251,8 +312,8 @@ func (l *link) serve(conn Conn) {
 			l.lastRecv.Store(now)
 			switch w.Kind {
 			case FrameHelloAck:
-				// Publish the capability before the grant wakes the
-				// writer, so the first message already sees it.
+				// Publish the capability before the grant opens the window,
+				// so the first message already sees it.
 				cs.peerTraced.Store(w.flags&frameFlagTraced != 0)
 				cs.grant(int64(w.Seq))
 				n.creditedConns.Add(1)
@@ -271,13 +332,14 @@ func (l *link) serve(conn Conn) {
 
 	ticker := time.NewTicker(n.cfg.HeartbeatInterval)
 	defer ticker.Stop()
-	// pending is the one envelope the writer dequeued but could not send for
+	// pending is the one envelope the manager dequeued but could not send for
 	// lack of credits. It parks here — not back in the outbox, order matters
 	// — until the reader's grant wakes the loop (the heartbeat tick doubles
-	// as a retry backstop). Heartbeats keep flowing while parked, so a
-	// credit stall never looks like peer silence. A connection that dies
-	// with a message parked loses it, exactly like a frame written into a
-	// dead socket: at-most-once.
+	// as a retry backstop), and it stays in queued, so senders queue behind
+	// it. Heartbeats keep flowing while parked, so a credit stall never
+	// looks like peer silence. A connection that dies with a message parked
+	// loses it, exactly like a frame written into a dead socket:
+	// at-most-once.
 	var pending *WireEnvelope
 	defer func() {
 		if pending != nil {
@@ -287,6 +349,7 @@ func (l *link) serve(conn Conn) {
 				pending.span.FinishDead("wire", trace.SpanNow())
 			}
 			putEnvelope(pending)
+			l.queued.Add(-1)
 		}
 	}()
 	for {
@@ -298,11 +361,11 @@ func (l *link) serve(conn Conn) {
 			case <-readErr:
 				return
 			case w := <-l.outbox:
-				if pending, ok = l.writeBatch(conn, cs, w); !ok {
+				if pending, ok = l.writeBatch(cs, w); !ok {
 					return
 				}
 			case <-ticker.C:
-				if !l.tick(conn, cs) {
+				if !l.tick(cs) {
 					return
 				}
 			}
@@ -315,7 +378,7 @@ func (l *link) serve(conn Conn) {
 			return
 		case <-cs.creditCh:
 		case <-ticker.C:
-			if !l.tick(conn, cs) {
+			if !l.tick(cs) {
 				return
 			}
 		}
@@ -325,7 +388,7 @@ func (l *link) serve(conn Conn) {
 				// time spent waiting on the peer's credit window.
 				pending.span.Mark(trace.StageStall, trace.SpanNow())
 			}
-			if pending, ok = l.writeBatch(conn, cs, pending); !ok {
+			if pending, ok = l.writeBatch(cs, pending); !ok {
 				return
 			}
 		}
@@ -341,8 +404,10 @@ func (l *link) serve(conn Conn) {
 // arrived or been lost, so the receiver can count the lost ones as
 // delivered — otherwise every dropped message would shrink the credit
 // window for good, and after a window's worth the link would park forever
-// with heartbeats still flowing.
-func (l *link) tick(conn Conn, cs *connState) bool {
+// with heartbeats still flowing. (The count is read before the probe is
+// written, so a frame a sender writes in between only makes it low, which
+// is safe.)
+func (l *link) tick(cs *connState) bool {
 	n := l.n
 	silence := time.Since(time.Unix(0, l.lastRecv.Load()))
 	if silence > n.cfg.HeartbeatTimeout {
@@ -352,7 +417,7 @@ func (l *link) tick(conn Conn, cs *connState) bool {
 	l.hbSentAt.Store(time.Now().UnixNano())
 	// Lamport 0: liveness probes are not causal events, and Observe(0) is a
 	// no-op on the receiver.
-	if !l.sendControl(conn, cs, &WireEnvelope{
+	if !l.sendControl(cs, &WireEnvelope{
 		Kind: FrameHeartbeat, FromAddr: n.addr, Seq: uint64(cs.consumed.Load()),
 	}) {
 		return false
@@ -362,7 +427,7 @@ func (l *link) tick(conn Conn, cs *connState) bool {
 	// drop costs one round of dissemination, never the payload session.
 	if g := n.cfg.Gossip; g != nil {
 		if digest := g.GossipDigest(l.peer); len(digest) > 0 {
-			if !l.sendControl(conn, cs, &WireEnvelope{
+			if !l.sendControl(cs, &WireEnvelope{
 				Kind: FrameGossip, FromAddr: n.addr,
 				To: string(digest), Lamport: n.clock.Tick(),
 			}) {
@@ -374,33 +439,40 @@ func (l *link) tick(conn Conn, cs *connState) bool {
 	return true
 }
 
-// sendControl writes one header-only frame through the writer-owned scratch
-// buffer (manager goroutine only, like writeBatch); false means the
-// connection is dead.
-func (l *link) sendControl(conn Conn, cs *connState, w *WireEnvelope) bool {
+// sendControl writes one header-only frame through the connection's scratch
+// buffer under wmu; false means the connection is dead.
+func (l *link) sendControl(cs *connState, w *WireEnvelope) bool {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if cs.dead {
+		return false
+	}
 	cs.scratch = appendEnvelope(cs.scratch[:0], w)
-	if err := conn.Send(cs.scratch); err != nil {
+	if err := cs.conn.Send(cs.scratch); err != nil {
 		return false
 	}
 	l.n.bytesSent.Add(int64(len(cs.scratch)))
 	return true
 }
 
-// writeBatch drains every envelope that is already queued — starting with
-// first, which the caller just dequeued (or un-parked) — encodes each into
-// one frame, and pushes them all through the connection with a single flush
-// when the queue goes empty. On a BufferedConn (TCP) that coalesces a burst
-// of sends into one syscall; on per-frame transports (mem) it degrades to
-// ordinary sends, preserving the per-frame fault-injection site either way.
+// writeBatch drains, under wmu, every envelope that is already queued —
+// starting with first, which the caller just dequeued (or un-parked) —
+// encodes each into one frame, and pushes them all through the connection
+// with a single flush when the queue goes empty. On a BufferedConn (TCP)
+// that coalesces a burst of sends into one syscall; on per-frame transports
+// (mem) it degrades to ordinary sends, preserving the per-frame
+// fault-injection site either way.
 //
 // Each message costs one credit; when the window runs dry mid-batch the
 // current envelope is returned as pending — what was already encoded still
 // flushes — and the caller parks until the peer grants more. ok == false
 // means the connection is dead or the payload session is poisoned; the
 // caller tears the connection down and the manager loop redials.
-func (l *link) writeBatch(conn Conn, cs *connState, first *WireEnvelope) (pending *WireEnvelope, ok bool) {
+func (l *link) writeBatch(cs *connState, first *WireEnvelope) (pending *WireEnvelope, ok bool) {
 	n := l.n
-	bw, buffered := conn.(BufferedConn)
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	bw, buffered := cs.conn.(BufferedConn)
 	w := first
 	frames := int64(0)
 	for {
@@ -414,47 +486,13 @@ func (l *link) writeBatch(conn Conn, cs *connState, first *WireEnvelope) (pendin
 			n.creditStalls.Add(1)
 			break
 		}
-		if w.Kind == FrameMsg && w.span != nil && !cs.peerTraced.Load() {
-			// The peer has no tracer to adopt the span: the trace ends at
-			// this node's wire boundary. Charge the outbox wait to the wire
-			// stage and seal, so partial traces still attribute what they
-			// saw.
-			now := trace.SpanNow()
-			w.span.Mark(trace.StageWire, now)
-			w.span.Finish(now)
-			w.span = nil
+		sent, ok := l.writeFrame(cs, w, buffered)
+		l.queued.Add(-1)
+		if !ok {
+			cs.dead = true
+			return nil, false
 		}
-		var err error
-		cs.scratch, err = cs.sess.appendFrame(cs.scratch[:0], w)
-		frame := cs.scratch
-		isMsg := w.Kind == FrameMsg
-		selfContained := w.flags&frameFlagSelfContained != 0
-		putEnvelope(w)
-		if err != nil {
-			n.encodeErrs.Add(1)
-			if !selfContained {
-				// The payload session may hold a half-recorded type
-				// descriptor; the stream is no longer trustworthy.
-				return nil, false
-			}
-			// A self-contained frame never touched the session: drop this
-			// one, keep draining.
-		} else {
-			var serr error
-			if buffered {
-				serr = bw.SendBuffered(frame)
-			} else {
-				serr = conn.Send(frame)
-			}
-			if serr != nil {
-				return nil, false
-			}
-			n.bytesSent.Add(int64(len(frame)))
-			if isMsg {
-				// Consume the credit only for frames actually written:
-				// both ends count FrameMsg since the connection opened.
-				cs.consumed.Add(1)
-			}
+		if sent {
 			frames++
 		}
 		select {
@@ -466,6 +504,7 @@ func (l *link) writeBatch(conn Conn, cs *connState, first *WireEnvelope) (pendin
 	}
 	if buffered {
 		if err := bw.Flush(); err != nil {
+			cs.dead = true
 			return nil, false
 		}
 	}
@@ -474,6 +513,55 @@ func (l *link) writeBatch(conn Conn, cs *connState, first *WireEnvelope) (pendin
 		n.batchedFrames.Add(frames)
 	}
 	return pending, true
+}
+
+// writeFrame encodes one envelope into the scratch buffer, sends it (staged
+// only, when buffered), and releases it; the caller holds wmu. sent reports
+// a frame on the wire. ok == false means the connection is dead or the payload session is
+// poisoned, and nothing more may be written to it; a self-contained frame
+// that fails to encode never touched the session, so it is only dropped.
+func (l *link) writeFrame(cs *connState, w *WireEnvelope, buffered bool) (sent, ok bool) {
+	n := l.n
+	if cs.dead {
+		putEnvelope(w)
+		return false, false
+	}
+	if w.Kind == FrameMsg && w.span != nil && !cs.peerTraced.Load() {
+		// The peer has no tracer to adopt the span: the trace ends at this
+		// node's wire boundary. Charge the send path's wait to the wire
+		// stage and seal, so partial traces still attribute what they saw.
+		now := trace.SpanNow()
+		w.span.Mark(trace.StageWire, now)
+		w.span.Finish(now)
+		w.span = nil
+	}
+	var err error
+	cs.scratch, err = cs.sess.appendFrame(cs.scratch[:0], w)
+	frame := cs.scratch
+	isMsg := w.Kind == FrameMsg
+	selfContained := w.flags&frameFlagSelfContained != 0
+	putEnvelope(w)
+	if err != nil {
+		n.encodeErrs.Add(1)
+		// Otherwise the payload session may hold a half-recorded type
+		// descriptor, and the stream is no longer trustworthy.
+		return false, selfContained
+	}
+	if buffered {
+		err = cs.conn.(BufferedConn).SendBuffered(frame)
+	} else {
+		err = cs.conn.Send(frame)
+	}
+	if err != nil {
+		return false, false
+	}
+	n.bytesSent.Add(int64(len(frame)))
+	if isMsg {
+		// Consume the credit only for frames actually written: both ends
+		// count FrameMsg since the connection opened.
+		cs.consumed.Add(1)
+	}
+	return true, true
 }
 
 // sleep pauses for d or until the node closes; false means closed.

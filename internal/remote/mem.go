@@ -182,8 +182,8 @@ func (e memEndpoint) Dial(addr string) (Conn, error) {
 	// A pair of unidirectional channels; both conns share one done channel
 	// so a Close from either side unblocks both.
 	const connBuf = 4096
-	d2l := make(chan []byte, connBuf)
-	l2d := make(chan []byte, connBuf)
+	d2l := make(chan memFrame, connBuf)
+	l2d := make(chan memFrame, connBuf)
 	done := make(chan struct{})
 	var once sync.Once
 	dialer := &memConn{net: e.net, src: e.addr, dst: addr, out: d2l, in: l2d, done: done, once: &once}
@@ -230,10 +230,19 @@ func (l *memListener) Close() error {
 type memConn struct {
 	net      *MemNetwork
 	src, dst string
-	out      chan<- []byte
-	in       <-chan []byte
+	out      chan<- memFrame
+	in       <-chan memFrame
 	done     chan struct{}
 	once     *sync.Once
+}
+
+// memFrame is one frame in flight. due, when non-zero, is the unixnano
+// before which the receiver may not see it: an injected wire delay is time
+// in flight, not time the sender spends blocked, so a delayed frame holds
+// up the frames behind it (the connection stays FIFO) but not its sender.
+type memFrame struct {
+	buf []byte
+	due int64
 }
 
 func (c *memConn) Send(frame []byte) error {
@@ -246,6 +255,7 @@ func (c *memConn) Send(frame []byte) error {
 	// replayer's reorder buffer; it runs after this frame's own delivery so
 	// releases land behind the frame that unblocked them.
 	var followup func()
+	var due int64
 	if rp := c.net.replayer(); rp != nil {
 		// Replay: application frames take their recorded schedule turn —
 		// a recorded drop, a hold until their recorded slot, or delivery;
@@ -273,7 +283,7 @@ func (c *memConn) Send(frame []byte) error {
 			case faults.ActDrop:
 				drop = true
 			case faults.ActDelay:
-				time.Sleep(d.Delay)
+				due = time.Now().Add(d.Delay).UnixNano()
 			}
 		}
 		c.net.recordSend(c.src, c.dst, drop, frame)
@@ -291,7 +301,7 @@ func (c *memConn) Send(frame []byte) error {
 	buf := getFrame(len(frame))
 	copy(buf, frame)
 	select {
-	case c.out <- buf:
+	case c.out <- memFrame{buf: buf, due: due}:
 		c.net.delivered.Add(1)
 		if followup != nil {
 			followup()
@@ -316,7 +326,7 @@ func (c *memConn) emitReplay(buf []byte, drop bool) {
 		return
 	}
 	select {
-	case c.out <- buf:
+	case c.out <- memFrame{buf: buf}:
 		c.net.delivered.Add(1)
 	case <-c.done:
 		putFrame(buf)
@@ -326,16 +336,35 @@ func (c *memConn) emitReplay(buf []byte, drop bool) {
 func (c *memConn) Recv() ([]byte, error) {
 	select {
 	case f := <-c.in:
-		return f, nil
+		return c.land(f)
 	case <-c.done:
 		// Drain frames that raced the close, then report EOF-equivalent.
 		select {
 		case f := <-c.in:
-			return f, nil
+			return c.land(f)
 		default:
 			return nil, ErrClosed
 		}
 	}
+}
+
+// land hands a received frame over once its injected delay, if any, has
+// passed. A connection closed while the frame is still in flight loses it.
+func (c *memConn) land(f memFrame) ([]byte, error) {
+	if f.due == 0 {
+		return f.buf, nil
+	}
+	if wait := time.Until(time.Unix(0, f.due)); wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-c.done:
+			putFrame(f.buf)
+			return nil, ErrClosed
+		}
+	}
+	return f.buf, nil
 }
 
 func (c *memConn) Close() error {

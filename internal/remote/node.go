@@ -3,6 +3,7 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -47,9 +48,9 @@ type Config struct {
 	// its peers: the number of messages a sender may have in flight beyond
 	// what this node has already received (default 1024). Each receiver
 	// meters its own inbound connections. The window bounds
-	// receiver-side queue growth per link; senders that exhaust it park
-	// their link writer, and once the outbox also fills, sends deadletter
-	// as Overloaded instead of buffering without bound.
+	// receiver-side queue growth per link; senders that exhaust it queue
+	// behind their link's parked manager, and once the outbox also fills,
+	// sends deadletter as Overloaded instead of buffering without bound.
 	CreditWindow int
 	// RecordWire, when true, logs every application frame sent and
 	// received as a WireEvent (see Node.WireEvents / Node.LamportLog) so
@@ -127,9 +128,14 @@ type Node struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
+	// links and names are copy-on-write maps: every message reads one of
+	// them (forward finds its link, dispatch its named target), so readers
+	// load the current map without a lock, and the rare writers (linkTo's
+	// first use of a peer, Register, Unregister) copy it under mu.
+	links atomic.Pointer[map[string]*link]
+	names atomic.Pointer[map[string]*actors.Ref]
+
 	mu      sync.Mutex
-	links   map[string]*link
-	names   map[string]*actors.Ref
 	proxies map[string]*actors.Ref
 	conns   []Conn
 	closed  bool
@@ -146,8 +152,9 @@ type Node struct {
 	bytesRecv     atomic.Int64
 	batches       atomic.Int64
 	batchedFrames atomic.Int64
+	directWrites  atomic.Int64
 
-	// Flow-control counters. creditStalls: times a link writer parked on an
+	// Flow-control counters. creditStalls: times a link manager parked on an
 	// empty window; creditFramesSent/Recv: FrameCredit traffic (sent as
 	// receiver, received as sender); creditsGranted: cumulative messages
 	// worth of credit issued; outboxOverflows: sends shed because a live
@@ -207,11 +214,11 @@ func NewNode(cfg Config) (*Node, error) {
 		lis:     lis,
 		addr:    lis.Addr(),
 		rng:     rand.New(rand.NewSource(cfg.Seed + 0x9e37)),
-		links:   map[string]*link{},
-		names:   map[string]*actors.Ref{},
 		proxies: map[string]*actors.Ref{},
 		done:    make(chan struct{}),
 	}
+	n.links.Store(&map[string]*link{})
+	n.names.Store(&map[string]*actors.Ref{})
 	n.hbAck = appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeatAck, FromAddr: n.addr})
 	if n.sys == nil {
 		n.sys = actors.NewSystem(actors.Config{})
@@ -238,14 +245,18 @@ func (n *Node) Clock() *trace.LamportClock { return &n.clock }
 func (n *Node) Register(name string, ref *actors.Ref) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.names[name] = ref
+	names := maps.Clone(*n.names.Load())
+	names[name] = ref
+	n.names.Store(&names)
 }
 
 // Unregister removes a name. In-flight frames addressed to it deadletter.
 func (n *Node) Unregister(name string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.names, name)
+	names := maps.Clone(*n.names.Load())
+	delete(names, name)
+	n.names.Store(&names)
 }
 
 // RefFor resolves "name@addr" to a proxy Ref whose Tell/Ask cross the wire.
@@ -324,10 +335,11 @@ type Stats struct {
 	DecodeErrors      int64
 	BytesSent         int64 // encoded frame bytes written (all frame kinds)
 	BytesReceived     int64 // frame bytes read (all frame kinds)
-	Batches           int64 // coalesced write batches flushed by link writers
+	Batches           int64 // write batches flushed (a sender's direct write is a batch of one)
 	BatchedFrames     int64 // application+control frames those batches carried
+	DirectWrites      int64 // frames their sender wrote itself, bypassing the outbox
 	CreditedConns     int64 // connections whose hello-ack opened the credit window (either end)
-	CreditStalls      int64 // link writers parked on an exhausted credit window
+	CreditStalls      int64 // link managers parked on an exhausted credit window
 	CreditFramesSent  int64 // FrameCredit grants issued to inbound senders
 	CreditFramesRecv  int64 // FrameCredit grants received on dial-out links
 	CreditsGranted    int64 // cumulative messages worth of credit issued
@@ -355,6 +367,7 @@ func (n *Node) Stats() Stats {
 		BytesReceived:     n.bytesRecv.Load(),
 		Batches:           n.batches.Load(),
 		BatchedFrames:     n.batchedFrames.Load(),
+		DirectWrites:      n.directWrites.Load(),
 		CreditedConns:     n.creditedConns.Load(),
 		CreditStalls:      n.creditStalls.Load(),
 		CreditFramesSent:  n.creditFramesSent.Load(),
@@ -381,12 +394,7 @@ type LinkInfo struct {
 
 // Links snapshots every dial-out link, sorted by peer address.
 func (n *Node) Links() []LinkInfo {
-	n.mu.Lock()
-	links := make(map[string]*link, len(n.links))
-	for addr, l := range n.links {
-		links[addr] = l
-	}
-	n.mu.Unlock()
+	links := *n.links.Load()
 	out := make([]LinkInfo, 0, len(links))
 	for addr, l := range links {
 		state := "connecting"
@@ -426,6 +434,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Gauge(prefix+".wire.bytes_received", n.bytesRecv.Load)
 	reg.Gauge(prefix+".wire.batches", n.batches.Load)
 	reg.Gauge(prefix+".wire.batched_frames", n.batchedFrames.Load)
+	reg.Gauge(prefix+".wire.direct_writes", n.directWrites.Load)
 	reg.Gauge(prefix+".wire.credited_conns", n.creditedConns.Load)
 	reg.Gauge(prefix+".wire.credit_stalls", n.creditStalls.Load)
 	reg.Gauge(prefix+".wire.credit_frames_sent", n.creditFramesSent.Load)
@@ -435,11 +444,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Gauge(prefix+".wire.inbound_shed", n.inboundShed.Load)
 	reg.Gauge(prefix+".wire.gossip_sent", n.gossipSent.Load)
 	reg.Gauge(prefix+".wire.gossip_received", n.gossipRecv.Load)
-	reg.Gauge(prefix+".wire.links", func() int64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return int64(len(n.links))
-	})
+	reg.Gauge(prefix+".wire.links", func() int64 { return int64(len(*n.links.Load())) })
 	// Heartbeat round-trip time, the link-health latency series: stamped at
 	// heartbeat send on each dial-out link, observed when the ack returns.
 	n.rtt.Store(reg.Histogram(prefix + ".wire.heartbeat_rtt_ns"))
@@ -447,10 +452,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	// creates them (the registry and prefix are remembered for that).
 	n.mu.Lock()
 	n.metricsReg, n.metricsPrefix = reg, prefix
-	links := make(map[string]*link, len(n.links))
-	for addr, l := range n.links {
-		links[addr] = l
-	}
+	links := *n.links.Load()
 	n.mu.Unlock()
 	for addr, l := range links {
 		n.registerLinkGauges(reg, prefix, addr, l)
@@ -502,13 +504,18 @@ func (n *Node) isClosed() bool {
 
 // linkTo returns the link to addr, creating and starting it on first use.
 func (n *Node) linkTo(addr string) *link {
+	if l, ok := (*n.links.Load())[addr]; ok {
+		return l
+	}
 	n.mu.Lock()
-	if l, ok := n.links[addr]; ok {
+	if l, ok := (*n.links.Load())[addr]; ok {
 		n.mu.Unlock()
 		return l
 	}
 	l := newLink(n, addr)
-	n.links[addr] = l
+	links := maps.Clone(*n.links.Load())
+	links[addr] = l
+	n.links.Store(&links)
 	if !n.closed {
 		n.wg.Add(1)
 		go l.run()
@@ -554,13 +561,13 @@ func (n *Node) idProxy(display, addr string, id uint64) *actors.Ref {
 }
 
 // forward is the proxy delivery function: it stamps e into a pooled wire
-// envelope and enqueues it on the link to addr — encoding happens later, on
-// the link's writer goroutine, so the sending actor pays only for the
-// enqueue. It never blocks; a refusal deadletters the envelope in the
-// calling System, with the status distinguishing a down/closed link
-// (ProxyUnreachable → DLRemote) from a full outbox on a live one
-// (ProxyOverloaded → DLOverloaded) — the latter is what a credit-stalled
-// writer eventually backs sends up into.
+// envelope and hands it to the link to addr, which writes the frame on this
+// goroutine when the link is idle and queues it for the link's manager
+// otherwise (link.send). It never waits on another sender or on credit; a
+// refusal deadletters the envelope in the calling System, with the status
+// distinguishing a down/closed link (ProxyUnreachable → DLRemote) from a
+// full outbox on a live one (ProxyOverloaded → DLOverloaded) — the latter
+// is what a credit-stalled link eventually backs sends up into.
 func (n *Node) forward(addr, name string, id uint64, e actors.Envelope) actors.ProxyStatus {
 	if addr == "" || n.isClosed() {
 		// addr "" is the tombstone proxy: it exists only to name a dead
@@ -587,16 +594,16 @@ func (n *Node) forward(addr, name string, id uint64, e actors.Envelope) actors.P
 		w.flags = frameFlagSelfContained
 	}
 	// The span migrates with the message: ownership transfers to the wire
-	// envelope here, and the link writer either serializes it (traced
-	// peer) or seals it at the wire boundary (untraced peer). On a
-	// refused enqueue ownership stays with e — the caller's deadletter
-	// path finishes the span with the refusal kind.
+	// envelope here, and whoever writes the frame either serializes it
+	// (traced peer) or seals it at the wire boundary (untraced peer). On a
+	// refused send ownership stays with e — the caller's deadletter path
+	// finishes the span with the refusal kind.
 	w.span = e.Span
 	w.Lamport = n.clock.Tick()
-	// The writer releases w back to the pool the moment it is encoded, so
-	// nothing here may touch w after a successful enqueue.
+	// w goes back to the pool the moment it is encoded, so nothing here may
+	// touch w after a successful send.
 	seq, lam := w.Seq, w.Lamport
-	switch n.linkTo(addr).enqueue(w) {
+	switch n.linkTo(addr).send(w) {
 	case enqDown:
 		putEnvelope(w)
 		return actors.ProxyUnreachable
@@ -811,7 +818,9 @@ func (cr *creditState) sendLocked(kind FrameKind, flags uint8, want int64) bool 
 
 // dispatch routes one inbound application frame into the local system. A
 // message handed to a live target counts as pending on the connection's
-// credit state until the target dequeues or deadletters it.
+// credit state until the target dequeues or deadletters it. A name may be
+// bound to a proxy Ref (the cluster's router is one): its deliver function
+// then runs right here, on the reader, and must not block either.
 func (n *Node) dispatch(w *WireEnvelope, cr *creditState) {
 	var sender *actors.Ref
 	if w.FromID != 0 && w.FromAddr != "" {
@@ -822,9 +831,7 @@ func (n *Node) dispatch(w *WireEnvelope, cr *creditState) {
 	case w.ToID != 0:
 		target = n.sys.ByID(w.ToID)
 	case w.To != "":
-		n.mu.Lock()
-		target = n.names[w.To]
-		n.mu.Unlock()
+		target = (*n.names.Load())[w.To]
 	}
 	// Rebuild the migrating span the frame carried: the receiving tracer
 	// adopts the accumulated ledger and the wire stage absorbs everything

@@ -5,10 +5,10 @@ import "sync"
 // Receive-frame pooling. Every []byte a Conn.Recv returns is drawn from this
 // size-classed pool, and the consumer (the node's connection reader or a
 // link's ack reader) returns it with putFrame once the frame is decoded.
-// Send-side buffers do not come from here: the link writer owns one
-// grow-only scratch buffer per connection, which is cheaper than any pool
-// (zero synchronization, zero steady-state allocation) because frames are
-// encoded and written one at a time by a single goroutine.
+// Send-side buffers do not come from here: each connection has one
+// grow-only scratch buffer, which is cheaper than any pool (zero steady-state
+// allocation) because frames are encoded and written one at a time, under
+// the link's write lock.
 var frameClasses = [...]int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10}
 
 var framePools [len(frameClasses)]sync.Pool
@@ -41,9 +41,9 @@ func putFrame(b []byte) {
 	}
 }
 
-// Envelope pooling: the send path builds one WireEnvelope per Tell and the
-// link writer releases it right after encoding, so steady-state traffic
-// reuses a handful of envelopes instead of allocating one per message.
+// Envelope pooling: the send path builds one WireEnvelope per Tell and
+// releases it right after encoding, so steady-state traffic reuses a
+// handful of envelopes instead of allocating one per message.
 var envPool = sync.Pool{New: func() any { return new(WireEnvelope) }}
 
 func getEnvelope() *WireEnvelope { return envPool.Get().(*WireEnvelope) }

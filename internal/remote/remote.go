@@ -136,9 +136,10 @@ type WireEnvelope struct {
 	Payload any
 
 	// span is the in-flight distributed trace span migrating with this
-	// envelope, if the message is sampled. The link writer serializes it
-	// (wirecodec.go, behind frameFlagTraced) when the peer's hello-ack
-	// said it adopts spans, and seals it at the wire boundary otherwise.
+	// envelope, if the message is sampled. Whoever writes the frame
+	// serializes it (wirecodec.go, behind frameFlagTraced) when the peer's
+	// hello-ack said it adopts spans, and seals it at the wire boundary
+	// otherwise.
 	span *trace.Span
 
 	// Inbound side of the migration: the binary decoder parses the span

@@ -42,9 +42,9 @@ import (
 // link past its schedule extends its final recorded fate, a link the
 // recording never saw delivers, and a held frame whose turn never comes is
 // flushed after replayStallTimeout (the link then runs unscheduled).
-// Blocking the sender was rejected by design: one writer goroutine serves a
-// link's whole outbox, so parking it would deadlock the very frames the
-// schedule is waiting for.
+// Blocking the sender was rejected by design: one writer at a time, holding
+// the link's write lock, serves a link's whole outbox, so parking it would
+// deadlock the very frames the schedule is waiting for.
 
 // WireEntry is one recorded application-frame send.
 type WireEntry struct {

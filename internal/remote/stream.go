@@ -40,8 +40,8 @@ func newDecSession() *decSession {
 	return s
 }
 
-// encSession is one connection's outbound payload stream. It is owned by
-// the link writer goroutine and is not safe for concurrent use.
+// encSession is one connection's outbound payload stream. It belongs to
+// whoever holds the link's write lock and is not safe for concurrent use.
 type encSession struct {
 	buf  bytes.Buffer // gob output for the frame being encoded
 	enc  *gob.Encoder
