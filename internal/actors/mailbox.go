@@ -129,11 +129,13 @@ const (
 	putFull
 )
 
-// 64 slots ≈ 4.3KB per chunk (Envelope is 64 bytes): big enough that the
-// per-chunk allocation + link amortizes to noise, small enough that a
-// short-lived or lightly-loaded actor doesn't carry a 10KB+ first chunk.
+// 16 slots = 1056 B per chunk (Envelope is 64 bytes; 1152 B size class).
+// Nearly every actor of the course problems receives at most 16 messages
+// in its life, so it pays for one small chunk, not a 4.8 KB one. A flood
+// pays one allocation per 16 messages instead of per 64: about 10% more
+// per Tell in the mailbox benchmarks (docs/PERF.md, "Chunk size").
 const (
-	chunkShift = 6
+	chunkShift = 4
 	chunkSize  = 1 << chunkShift // envelopes per chunk
 	chunkMask  = chunkSize - 1
 )

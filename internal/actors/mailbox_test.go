@@ -232,3 +232,34 @@ func TestUnboundedDefaultNeverBlocks(t *testing.T) {
 	}
 	close(release)
 }
+
+// TestShortLivedActorBytes bounds the heap bytes one short-lived actor costs:
+// spawn, one Tell, Stop. The first mailbox chunk dominates them: about
+// 1.8 KB per actor with 16-slot chunks, 5.5 KB with 64-slot ones.
+func TestShortLivedActorBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	sys := NewSystem(Config{})
+	defer sys.Shutdown()
+	spawnTellStop := func() {
+		ref := sys.MustSpawn("t", func(ctx *Context, msg any) { ctx.Stop() })
+		ref.Tell(nil)
+		sys.Await(ref)
+	}
+	for i := 0; i < 100; i++ {
+		spawnTellStop() // warm the pool, the registry and the run queue
+	}
+	const actors, bound = 2000, 2500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < actors; i++ {
+		spawnTellStop()
+	}
+	runtime.ReadMemStats(&after)
+	perActor := (after.TotalAlloc - before.TotalAlloc) / actors
+	t.Logf("spawn + Tell + Stop: %d B per actor", perActor)
+	if perActor > bound {
+		t.Errorf("spawn + Tell + Stop allocated %d B per actor, want <= %d", perActor, bound)
+	}
+}

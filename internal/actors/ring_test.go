@@ -116,6 +116,7 @@ func TestRingMailboxChunkBoundaries(t *testing.T) {
 	m := newMailbox(0, MailboxBlock, 0, 0)
 	const total = chunkSize*3 + 17
 	next := 0
+	chunks := map[*chunk]bool{}
 	for i := 0; i < total; i++ {
 		if m.put(Envelope{Msg: i}, putWait) != putOK {
 			t.Fatal("put refused")
@@ -130,6 +131,7 @@ func TestRingMailboxChunkBoundaries(t *testing.T) {
 				t.Fatalf("got %d, want %d", batch[0].Msg.(int), next)
 			}
 			next++
+			chunks[m.headChunk.Load()] = true
 		}
 	}
 	for _, e := range m.drain(nil, total) {
@@ -140,6 +142,9 @@ func TestRingMailboxChunkBoundaries(t *testing.T) {
 	}
 	if next != total {
 		t.Fatalf("consumed %d, want %d", next, total)
+	}
+	if len(chunks) < 4 {
+		t.Fatalf("the consumer crossed %d chunk boundaries, want >= 3", len(chunks)-1)
 	}
 }
 

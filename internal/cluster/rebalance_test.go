@@ -403,6 +403,11 @@ func TestRefutedDeathDeposesActivations(t *testing.T) {
 	addrs := []string{"n1", "n2", "n3"}
 	f := startCluster(t, addrs, echoFactory)
 	waitUntil(t, 5*time.Second, "membership convergence", f.converged)
+	// A link that times out and comes back up withdraws that peer's
+	// acknowledgment; settle the links first, as
+	// TestSingleActivationAcrossNodes does.
+	f.waitLinksSettled(t, 16*time.Millisecond)
+	waitUntil(t, 5*time.Second, "membership convergence", f.converged)
 	c1 := f.nodes["n1"]
 	name := ""
 	for i := 0; name == ""; i++ {
@@ -432,7 +437,19 @@ func TestRefutedDeathDeposesActivations(t *testing.T) {
 	if at := whereIs(); at != "n1" {
 		t.Fatalf("%s rehosted at %s, want n1", name, at)
 	}
-	if !c1.mem.acknowledged() {
-		t.Fatal("rehosted before the peers acknowledged incarnation 1")
+	// Activation required every peer's acknowledgment of incarnation 1:
+	// each peer's own table must hold n1 at incarnation >= 1. n1's acked
+	// flag cannot stand in for this, because a later link-up withdraws it.
+	for _, addr := range addrs[1:] {
+		ms, _ := f.nodes[addr].Members()
+		var inc uint64
+		for _, m := range ms {
+			if m.Addr == "n1" {
+				inc = m.Inc
+			}
+		}
+		if inc < 1 {
+			t.Fatalf("rehosted before the peers acknowledged incarnation 1: %s holds n1 at incarnation %d", addr, inc)
+		}
 	}
 }

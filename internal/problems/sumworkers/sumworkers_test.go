@@ -70,3 +70,41 @@ func TestAllModelsAgree(t *testing.T) {
 		t.Fatalf("models disagree: %v", sums)
 	}
 }
+
+func TestMakeInputDeterministicAndInRange(t *testing.T) {
+	const n = 50000
+	a, wantA := makeInput(n, 7)
+	b, wantB := makeInput(n, 7)
+	if len(a) != n {
+		t.Fatalf("len = %d, want %d", len(a), n)
+	}
+	var sum, lo, hi int64
+	for i, v := range a {
+		if v != b[i] {
+			t.Fatalf("seed 7 drew %d then %d at index %d", v, b[i], i)
+		}
+		if v < -500 || v >= 500 {
+			t.Fatalf("value %d at index %d outside [-500, 500)", v, i)
+		}
+		sum += v
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	// 50000 uniform draws miss an end of the range with odds about e^-50.
+	if lo != -500 || hi != 499 {
+		t.Fatalf("values span [%d, %d], want [-500, 499]", lo, hi)
+	}
+	if sum != wantA || wantA != wantB {
+		t.Fatalf("sums %d and %d, want %d", wantA, wantB, sum)
+	}
+	c, _ := makeInput(n, 8)
+	same := 0
+	for i := range a {
+		if a[i] == c[i] {
+			same++
+		}
+	}
+	// Independent draws from 1000 values agree about once in 1000.
+	if same > n/100 {
+		t.Fatalf("seeds 7 and 8 drew the same value at %d of %d indices", same, n)
+	}
+}

@@ -223,7 +223,11 @@ func TestSustainedOverloadChaos(t *testing.T) {
 	sink := b.System().MustSpawn("sink", func(ctx *actors.Context, msg any) {
 		if p, ok := msg.(tPing); ok {
 			sinkSeen.Add(1)
-			time.Sleep(sinkDelay)
+			// Spin rather than sleep: timers round a sub-millisecond
+			// Sleep up to about 1 ms on some hosts, which would cut the
+			// service rate to ~1k msgs/sec.
+			for start := time.Now(); time.Since(start) < sinkDelay; {
+			}
 			if p.N == -1 {
 				ctx.Reply(tPong{N: -1})
 			}
