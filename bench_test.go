@@ -428,27 +428,6 @@ func BenchmarkAblationMailboxBounded(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationExploreMemo(b *testing.B) {
-	prog, err := pseudocode.CompileSource(fig3Src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("memoized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pseudocode.Explore(prog, pseudocode.ExploreOpts{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pseudocode.Explore(prog, pseudocode.ExploreOpts{NoMemo: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkAblationNotifyOneVsAll(b *testing.B) {
 	prog, err := pseudocode.CompileSource(fig4Src)
 	if err != nil {

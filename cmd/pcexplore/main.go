@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -23,7 +24,7 @@ import (
 func main() {
 	maxStates := flag.Int("max-states", 0, "state bound (0 = default)")
 	por := flag.Bool("por", false, "enable sleep-set partial-order reduction (same results, fewer transitions)")
-	workers := flag.Int("workers", 1, "parallel exploration goroutines (>1 disables -livelock/-witness)")
+	workers := flag.Int("workers", 1, "parallel exploration goroutines")
 	stats := flag.Bool("stats", false, "report exploration throughput, memory, and POR savings")
 	syncSend := flag.Bool("sync-send", false, "misconception semantics [C1]M3: sends block until received")
 	fifo := flag.Bool("fifo", false, "misconception semantics [I2]M5: FIFO mailboxes")
@@ -102,41 +103,57 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("states visited: %d\n", res.StatesVisited)
+	os.Exit(report(os.Stdout, prog, sem, res, *witness, *livelock))
+}
+
+// report prints the result of a run and returns the exit code: 3 when some
+// execution deadlocks, else 4 when -livelock found states that cannot reach
+// a terminal, 1 when a witness does not replay, 0 otherwise. A truncated
+// run's liveness is unknown, so it is reported as not checked.
+func report(w io.Writer, prog *pseudocode.Compiled, sem pseudocode.Semantics, res *pseudocode.ExploreResult, witness, livelock bool) int {
+	fmt.Fprintf(w, "states visited: %d\n", res.StatesVisited)
 	if res.Truncated {
-		fmt.Println("WARNING: exploration truncated; results are a lower bound")
+		fmt.Fprintln(w, "WARNING: exploration truncated; results are a lower bound")
 	}
-	fmt.Printf("distinct outputs (%d):\n", len(res.Outputs))
+	fmt.Fprintf(w, "distinct outputs (%d):\n", len(res.Outputs))
 	for i, o := range res.Outputs {
-		fmt.Printf("  possibility %d: %q\n", i+1, o)
+		fmt.Fprintf(w, "  possibility %d: %q\n", i+1, o)
 	}
+	code := 0
 	if res.Deadlocks > 0 {
-		fmt.Printf("DEADLOCKS: %d distinct deadlocked states\n", res.Deadlocks)
+		code = 3
+		fmt.Fprintf(w, "DEADLOCKS: %d distinct deadlocked states\n", res.Deadlocks)
 		for _, term := range res.Terminals {
 			if term.Kind == pseudocode.Deadlocked {
-				fmt.Printf("  blocked: %v after output %q\n", term.Blocked, term.Output)
+				fmt.Fprintf(w, "  blocked: %v after output %q\n", term.Blocked, term.Output)
 			}
 		}
-		if *witness && len(res.DeadlockWitness) > 0 {
-			fmt.Println("witness schedule (replayed):")
+		if witness && len(res.DeadlockWitness) > 0 {
+			fmt.Fprintln(w, "witness schedule (replayed):")
 			events, _, err := pseudocode.ReplayWitness(prog, sem, res.DeadlockWitness)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "pcexplore: replay failed:", err)
-				os.Exit(1)
+				return 1
 			}
 			for _, ev := range events {
-				fmt.Printf("  [%s] %s line %d %s\n", ev.TaskName, ev.Op, ev.Line, ev.Detail)
+				fmt.Fprintf(w, "  [%s] %s line %d %s\n", ev.TaskName, ev.Op, ev.Line, ev.Detail)
 			}
 		}
-		os.Exit(3)
+	} else {
+		fmt.Fprintln(w, "no deadlocks")
 	}
-	fmt.Println("no deadlocks")
-	if *livelock {
-		if res.LivelockFree {
-			fmt.Println("livelock-free: every state can reach a terminal")
-		} else {
-			fmt.Printf("LIVELOCK: %d states cannot reach any terminal\n", res.DivergentStates)
-			os.Exit(4)
+	if livelock {
+		switch {
+		case res.Truncated:
+			fmt.Fprintln(w, "liveness not checked: exploration truncated")
+		case res.LivelockFree:
+			fmt.Fprintln(w, "livelock-free: every state can reach a terminal")
+		default:
+			fmt.Fprintf(w, "LIVELOCK: %d states cannot reach any terminal\n", res.DivergentStates)
+			if code == 0 {
+				code = 4
+			}
 		}
 	}
+	return code
 }

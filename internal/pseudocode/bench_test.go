@@ -95,6 +95,27 @@ func BenchmarkExploreBridgeShared(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationExploreMemo compares the memoized search (the state
+// graph) with the reference search's tree walk (every path re-explored) on
+// Figure 3's third program.
+func BenchmarkAblationExploreMemo(b *testing.B) {
+	prog := benchCompile(b, loadFixtureB(b, "fig3c_interleave.pc"))
+	b.Run("memoized", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Explore(prog, ExploreOpts{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("tree", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := referenceExplore(prog, ExploreOpts{}, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkWorldCloneEncode(b *testing.B) {
 	src := loadFixtureB(b, "bridge_shared.pc")
 	prog, err := CompileSource(src)

@@ -3,7 +3,7 @@ package pseudocode
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ExploreOpts configures exhaustive state-space exploration.
@@ -15,49 +15,34 @@ type ExploreOpts struct {
 	// MaxDepth bounds the number of steps along any one execution
 	// (0 = DefaultMaxDepth).
 	MaxDepth int
-	// Predicate, when non-nil, is evaluated at every visited state; the
-	// result records whether any state satisfied it. Used for the study's
-	// "could this happen?" reachability questions.
-	Predicate func(w *World) bool
 	// Predicates, when non-empty, are all evaluated at every visited state;
 	// PredicateHits[i] records whether Predicates[i] matched anywhere. This
-	// lets one exploration answer a whole question bank.
+	// lets one exploration answer a whole question bank. With Workers > 1
+	// they must be safe to call concurrently; they must not retain the
+	// *World.
 	Predicates []func(w *World) bool
-	// NoMemo disables state memoization (ablation): the exploration then
-	// walks the execution *tree* instead of the state *graph*. Only safe
-	// for acyclic programs; bounded by MaxStates/MaxDepth regardless.
-	NoMemo bool
 	// TrackGraph records the state graph so the result can answer liveness
 	// questions: DivergentStates counts states from which no terminal is
 	// reachable (livelock — e.g. an unconditional message-deferral loop).
-	// Costs memory proportional to the edge count. Incompatible with
-	// NoMemo; disables POR and parallel search.
+	// Costs memory proportional to the edge count. Disables POR.
 	TrackGraph bool
 	// TrackWitness records parent links so the result carries a concrete
 	// schedule (sequence of Choices) reaching the first deadlock found —
-	// a counterexample you can replay with ReplayWitness. Incompatible
-	// with NoMemo; disables parallel search (POR still applies).
+	// a counterexample you can replay with ReplayWitness. Which deadlock,
+	// and which schedule to it, depends on the workers' interleaving when
+	// Workers > 1.
 	TrackWitness bool
 	// POR enables sleep-set partial-order reduction: provably commuting
 	// interleavings are explored once instead of in every order. The
 	// reduction prunes transitions, never states — Outputs, Deadlocks,
 	// StatesVisited, and predicate hits are identical to an unreduced run;
-	// only Transitions shrinks. Ignored under NoMemo or TrackGraph (the
-	// reduced graph's edge set would be incomplete).
+	// only Transitions shrinks. Ignored under TrackGraph (the reduced
+	// graph's edge set would be incomplete).
 	POR bool
-	// Workers > 1 explores the state graph with that many goroutines over
-	// a sharded fingerprint set. Results are merged deterministically
-	// (Terminals sorted canonically). Predicates must then be safe to call
-	// concurrently and must not retain the *World. Ignored (forced to 1)
-	// under NoMemo, TrackGraph, or TrackWitness.
+	// Workers is the number of goroutines that share the search (<= 1: the
+	// calling goroutine alone). Terminals, outputs, deadlocks, StatesVisited
+	// and predicate hits do not depend on it.
 	Workers int
-	// AuditEncodings retains the full canonical encoding of every state
-	// alongside its 128-bit fingerprint and counts fingerprint collisions
-	// (two distinct encodings hashing identically) in AuditCollisions.
-	// This opt-in mode restores the seed explorer's memory profile; it
-	// exists so tests can certify that fingerprint-based deduplication
-	// merged no distinct states in a given run.
-	AuditEncodings bool
 }
 
 // Exploration bounds defaults.
@@ -78,7 +63,8 @@ type Terminal struct {
 
 // ExploreResult summarizes the full execution space.
 type ExploreResult struct {
-	// Terminals are the distinct terminal configurations (by state encoding).
+	// Terminals are the distinct terminal configurations (by state
+	// encoding), sorted by kind, output and blocked tasks.
 	Terminals []Terminal
 	// Outputs is the sorted set of distinct outputs over non-deadlocked
 	// terminals — Figure 3/5's "possibility 1 / possibility 2" sets.
@@ -93,8 +79,6 @@ type ExploreResult struct {
 	// POR this is the edge count of the explored graph; POR lowers it (the
 	// savings metric reported by pcexplore -stats).
 	Transitions int
-	// PredicateHit is true when opts.Predicate matched some visited state.
-	PredicateHit bool
 	// PredicateHits mirrors opts.Predicates.
 	PredicateHits []bool
 	// DivergentStates counts states that cannot reach any terminal state
@@ -106,9 +90,6 @@ type ExploreResult struct {
 	// DeadlockWitness is a schedule from the initial state to the first
 	// deadlock found (with opts.TrackWitness). Empty when no deadlock.
 	DeadlockWitness []Choice
-	// AuditCollisions counts fingerprint collisions detected with
-	// opts.AuditEncodings (expected: always zero).
-	AuditCollisions int
 	// Truncated is true when a bound was hit; the result is then a lower
 	// bound on the execution space.
 	Truncated bool
@@ -124,20 +105,6 @@ func (r *ExploreResult) OutputSet() map[string]bool {
 		m[o] = true
 	}
 	return m
-}
-
-// Explore enumerates every reachable state of prog under the semantics at
-// atomic-statement granularity, merging states that are identical under
-// canonical encoding. It returns the distinct terminal configurations and
-// the set of possible outputs — the "space of executions".
-func Explore(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
-	if (opts.TrackGraph || opts.TrackWitness) && opts.NoMemo {
-		return nil, errors.New("pseudocode: graph/witness tracking requires memoization")
-	}
-	if opts.Workers > 1 && !opts.NoMemo && !opts.TrackGraph && !opts.TrackWitness {
-		return exploreParallel(prog, opts)
-	}
-	return exploreSeq(prog, opts)
 }
 
 func exploreBounds(opts ExploreOpts) (maxStates, maxDepth int) {
@@ -214,284 +181,12 @@ func sleepChoices(sleep []sleepEntry) []Choice {
 	return out
 }
 
-// exNode is one frontier entry of the sequential search.
+// exNode is one frontier entry of the search.
 type exNode struct {
 	w     *World
 	depth int
 	fp    fingerprint
 	sleep []sleepEntry
-}
-
-func exploreSeq(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
-	maxStates, maxDepth := exploreBounds(opts)
-	por := opts.POR && !opts.NoMemo && !opts.TrackGraph
-	// Recycling worlds into the pools is only safe when no user predicate
-	// could have retained a *World.
-	canRecycle := opts.Predicate == nil && len(opts.Predicates) == 0
-
-	res := &ExploreResult{}
-	res.PredicateHits = make([]bool, len(opts.Predicates))
-	observe := func(w *World) {
-		if opts.Predicate != nil && opts.Predicate(w) {
-			res.PredicateHit = true
-		}
-		for i, p := range opts.Predicates {
-			if !res.PredicateHits[i] && p(w) {
-				res.PredicateHits[i] = true
-			}
-		}
-	}
-
-	visited := map[fingerprint]struct{}{}
-	var auditEnc map[fingerprint]string
-	if opts.AuditEncodings {
-		auditEnc = map[fingerprint]string{}
-	}
-	var sleepStore map[fingerprint][]Choice
-	if por {
-		sleepStore = map[fingerprint][]Choice{}
-	}
-	terminalSeen := map[fingerprint]bool{}
-	outputSet := map[string]bool{}
-	deadlockOutputSet := map[string]bool{}
-	var edges map[fingerprint][]fingerprint
-	var terminalFPs []fingerprint
-	if opts.TrackGraph {
-		edges = map[fingerprint][]fingerprint{}
-	}
-	var parents map[fingerprint]parentLink
-	if opts.TrackWitness {
-		parents = map[fingerprint]parentLink{}
-	}
-
-	// All state encodings stream through one reused buffer: a state is
-	// encoded exactly once, hashed, and the bytes are dropped (unless
-	// auditing).
-	var encBuf []byte
-	encodeFP := func(w *World) fingerprint {
-		encBuf = w.appendEncode(encBuf[:0])
-		return fingerprintOf(encBuf)
-	}
-
-	start := NewWorld(prog, opts.Sem)
-	start.alloc = &alloc{} // this lane's private container free list
-	startFP := encodeFP(start)
-	if !opts.NoMemo {
-		visited[startFP] = struct{}{}
-		if auditEnc != nil {
-			auditEnc[startFP] = string(encBuf)
-		}
-		if por {
-			sleepStore[startFP] = nil
-		}
-	}
-	res.StatesVisited = 1
-	observe(start)
-	stack := []exNode{{w: start, depth: 0, fp: startFP}}
-
-	var choiceBuf []Choice
-	var live []Choice
-	var liveFPs []*stepFP
-
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		choiceBuf = n.w.runnableInto(choiceBuf)
-		choices := choiceBuf
-		if len(choices) == 0 {
-			kind := n.w.classifyBlocked()
-			tfp := n.fp
-			if opts.NoMemo {
-				tfp = encodeFP(n.w)
-			}
-			if opts.TrackWitness && kind == Deadlocked && res.DeadlockWitness == nil {
-				res.DeadlockWitness = rebuildWitness(parents, tfp)
-			}
-			if !terminalSeen[tfp] {
-				terminalSeen[tfp] = true
-				if opts.TrackGraph {
-					terminalFPs = append(terminalFPs, tfp)
-				}
-				term := Terminal{Kind: kind, Output: n.w.Output()}
-				if kind == Deadlocked {
-					term.Blocked = n.w.BlockedTasks()
-					res.Deadlocks++
-					deadlockOutputSet[term.Output] = true
-				} else {
-					outputSet[term.Output] = true
-				}
-				res.Terminals = append(res.Terminals, term)
-			}
-			if canRecycle {
-				n.w.recycle()
-			}
-			continue
-		}
-		if n.depth >= maxDepth {
-			res.Truncated = true
-			if canRecycle {
-				n.w.recycle()
-			}
-			continue
-		}
-
-		// live = enabled choices not in the sleep set.
-		live = live[:0]
-		if por && len(n.sleep) > 0 {
-			for _, ch := range choices {
-				slept := false
-				for i := range n.sleep {
-					if n.sleep[i].ch == ch {
-						slept = true
-						break
-					}
-				}
-				if !slept {
-					live = append(live, ch)
-				}
-			}
-		} else {
-			live = append(live, choices...)
-		}
-		if por {
-			liveFPs = liveFPs[:0]
-			for _, ch := range live {
-				liveFPs = append(liveFPs, n.w.stepFootprint(ch))
-			}
-		}
-
-		reused := false
-		for i, ch := range live {
-			// Bound check before paying for Clone+Step: once the state
-			// budget is spent no child can be admitted, so stop expanding
-			// the whole frontier.
-			if !opts.NoMemo {
-				if len(visited) >= maxStates {
-					res.Truncated = true
-					break
-				}
-			} else if res.StatesVisited >= maxStates {
-				res.Truncated = true
-				break
-			}
-			var child *World
-			if i == len(live)-1 {
-				// Clone elision: the node's own world serves as the last
-				// child (every earlier child took a copy).
-				child = n.w
-				reused = true
-			} else {
-				child = n.w.Clone()
-			}
-			if err := child.Step(ch); err != nil {
-				return res, errors.Join(ErrExploreError, err)
-			}
-			res.Transitions++
-			if opts.NoMemo {
-				res.StatesVisited++
-				observe(child)
-				stack = append(stack, exNode{w: child, depth: n.depth + 1})
-				continue
-			}
-			var childSleep []sleepEntry
-			if por {
-				chFP := liveFPs[i]
-				for j := range n.sleep {
-					e := &n.sleep[j]
-					if e.ch.TaskIdx != ch.TaskIdx && independentSteps(e.fp, chFP) {
-						childSleep = append(childSleep, *e)
-					}
-				}
-				for j := 0; j < i; j++ {
-					if live[j].TaskIdx != ch.TaskIdx && independentSteps(liveFPs[j], chFP) {
-						childSleep = append(childSleep, sleepEntry{ch: live[j], fp: liveFPs[j]})
-					}
-				}
-			}
-			cfp := encodeFP(child)
-			if opts.TrackGraph {
-				edges[n.fp] = append(edges[n.fp], cfp)
-			}
-			if _, dup := visited[cfp]; dup {
-				if auditEnc != nil && auditEnc[cfp] != string(encBuf) {
-					res.AuditCollisions++
-				}
-				if por {
-					// Covering rule: a state expanded with sleep set S is
-					// only covered for arrivals with sleep ⊇ S; a smaller
-					// arrival re-expands it with the intersection (the
-					// stored set strictly shrinks, so this terminates).
-					stored := sleepStore[cfp]
-					if !sleepCovered(stored, childSleep) {
-						inter := sleepIntersect(stored, childSleep)
-						sleepStore[cfp] = sleepChoices(inter)
-						stack = append(stack, exNode{w: child, depth: n.depth + 1, fp: cfp, sleep: inter})
-						continue
-					}
-				}
-				if child == n.w {
-					reused = false
-				} else if canRecycle {
-					child.recycle()
-				}
-				continue
-			}
-			visited[cfp] = struct{}{}
-			if auditEnc != nil {
-				auditEnc[cfp] = string(encBuf)
-			}
-			if por {
-				sleepStore[cfp] = sleepChoices(childSleep)
-			}
-			if opts.TrackWitness {
-				parents[cfp] = parentLink{parent: n.fp, ch: ch}
-			}
-			res.StatesVisited++
-			observe(child)
-			stack = append(stack, exNode{w: child, depth: n.depth + 1, fp: cfp, sleep: childSleep})
-		}
-		if !reused && canRecycle {
-			n.w.recycle()
-		}
-	}
-
-	for o := range outputSet {
-		res.Outputs = append(res.Outputs, o)
-	}
-	sort.Strings(res.Outputs)
-	for o := range deadlockOutputSet {
-		res.DeadlockOutputs = append(res.DeadlockOutputs, o)
-	}
-	sort.Strings(res.DeadlockOutputs)
-
-	if opts.TrackGraph && !res.Truncated {
-		// Liveness: a state is divergent if no terminal is reachable from
-		// it. Compute by reverse BFS from the terminals.
-		rev := map[fingerprint][]fingerprint{}
-		for from, tos := range edges {
-			for _, to := range tos {
-				rev[to] = append(rev[to], from)
-			}
-		}
-		reach := make(map[fingerprint]bool, len(visited))
-		queue := append([]fingerprint(nil), terminalFPs...)
-		for _, fp := range queue {
-			reach[fp] = true
-		}
-		for len(queue) > 0 {
-			cur := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, prev := range rev[cur] {
-				if !reach[prev] {
-					reach[prev] = true
-					queue = append(queue, prev)
-				}
-			}
-		}
-		res.DivergentStates = len(visited) - len(reach)
-		res.LivelockFree = res.DivergentStates == 0
-	}
-	return res, nil
 }
 
 // parentLink records how a state was first reached during exploration.
@@ -502,21 +197,17 @@ type parentLink struct {
 
 // rebuildWitness walks parent links from a terminal fingerprint back to the
 // initial state and returns the schedule in execution order.
-func rebuildWitness(parents map[fingerprint]parentLink, fp fingerprint) []Choice {
-	var rev []Choice
-	cur := fp
+func rebuildWitness(shards []exploreShard, fp fingerprint) []Choice {
+	out := []Choice{}
 	for {
-		link, ok := parents[cur]
+		link, ok := shards[fp.shard(len(shards))].parents[fp]
 		if !ok {
 			break
 		}
-		rev = append(rev, link.ch)
-		cur = link.parent
+		out = append(out, link.ch)
+		fp = link.parent
 	}
-	out := make([]Choice, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -557,9 +248,9 @@ func ExploreSource(src string, opts ExploreOpts) (*ExploreResult, error) {
 // Reachable reports whether pred holds in some reachable state of src under
 // sem — the primitive the study's Test-1 questions are built on.
 func Reachable(src string, sem Semantics, pred func(w *World) bool) (bool, error) {
-	res, err := ExploreSource(src, ExploreOpts{Sem: sem, Predicate: pred})
+	res, err := ExploreSource(src, ExploreOpts{Sem: sem, Predicates: []func(w *World) bool{pred}})
 	if err != nil {
 		return false, err
 	}
-	return res.PredicateHit, nil
+	return res.PredicateHits[0], nil
 }

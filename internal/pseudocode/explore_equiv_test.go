@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// The optimized explorer configurations (POR, parallel workers, and their
-// combination) must be observationally identical to the reference search:
-// same distinct states, same terminal outputs, same deadlocks, same
-// predicate hits. This sweep runs every corpus program under every
-// semantics variant and compares all configurations against the plain
-// sequential explorer, with fingerprint auditing on everywhere so any
-// 128-bit collision in the run would also fail the test.
+// Explore must be observationally identical to referenceExplore, the plain
+// string-keyed search: same distinct states, same terminals, same outputs,
+// same deadlocks, same predicate hits, and without POR the same transition
+// count. This sweep runs every corpus program under every semantics variant
+// in four configurations: one worker and four, each with and without POR.
+// The reference keys its visited set on full encodings, so its exact
+// StatesVisited also certifies Explore's 128-bit fingerprints: a collision
+// between two reached states would lower Explore's count and fail the sweep.
 
 // equivPredicates are state-dependent observables (never path metadata like
 // step counts — those differ by arrival order even between equivalent
@@ -32,8 +33,9 @@ func equivPredicates() []func(w *World) bool {
 	}
 }
 
-func equivSummary(r *ExploreResult) map[string]any {
-	return map[string]any{
+func equivSummary(r *ExploreResult, por bool) map[string]any {
+	m := map[string]any{
+		"terminals":       r.Terminals,
 		"outputs":         r.Outputs,
 		"deadlockOutputs": r.DeadlockOutputs,
 		"deadlocks":       r.Deadlocks,
@@ -41,6 +43,10 @@ func equivSummary(r *ExploreResult) map[string]any {
 		"predicateHits":   r.PredicateHits,
 		"truncated":       r.Truncated,
 	}
+	if !por {
+		m["transitions"] = r.Transitions
+	}
+	return m
 }
 
 func TestExploreEquivalenceSweep(t *testing.T) {
@@ -58,24 +64,20 @@ func TestExploreEquivalenceSweep(t *testing.T) {
 				continue
 			}
 			t.Run(name+"/"+semName, func(t *testing.T) {
-				base := ExploreOpts{
-					Sem:            sem,
-					Predicates:     equivPredicates(),
-					AuditEncodings: true,
+				prog, err := CompileSource(src)
+				if err != nil {
+					t.Fatal(err)
 				}
-				ref, refErr := ExploreSource(src, base)
-				if refErr == nil {
-					if ref.Truncated {
-						t.Fatalf("reference exploration truncated; sweep comparison is meaningless")
-					}
-					if ref.AuditCollisions != 0 {
-						t.Fatalf("reference run had %d fingerprint collisions", ref.AuditCollisions)
-					}
+				base := ExploreOpts{Sem: sem, Predicates: equivPredicates()}
+				ref, refErr := referenceExplore(prog, base, true)
+				if refErr == nil && ref.Truncated {
+					t.Fatalf("reference exploration truncated; sweep comparison is meaningless")
 				}
 				configs := []struct {
 					label string
 					mod   func(*ExploreOpts)
 				}{
+					{"one worker", func(o *ExploreOpts) {}},
 					{"por", func(o *ExploreOpts) { o.POR = true }},
 					{"workers", func(o *ExploreOpts) { o.Workers = 4 }},
 					{"por+workers", func(o *ExploreOpts) { o.POR = true; o.Workers = 4 }},
@@ -84,17 +86,14 @@ func TestExploreEquivalenceSweep(t *testing.T) {
 					opts := base
 					opts.Predicates = equivPredicates()
 					cfg.mod(&opts)
-					got, err := ExploreSource(src, opts)
+					got, err := Explore(prog, opts)
 					if (err != nil) != (refErr != nil) {
 						t.Fatalf("%s: error mismatch: ref=%v got=%v", cfg.label, refErr, err)
 					}
 					if refErr != nil {
 						continue
 					}
-					if got.AuditCollisions != 0 {
-						t.Errorf("%s: %d fingerprint collisions", cfg.label, got.AuditCollisions)
-					}
-					want, have := equivSummary(ref), equivSummary(got)
+					want, have := equivSummary(ref, opts.POR), equivSummary(got, opts.POR)
 					if !reflect.DeepEqual(want, have) {
 						t.Errorf("%s: result diverged from reference\nref: %+v\ngot: %+v", cfg.label, want, have)
 					}
@@ -107,17 +106,17 @@ func TestExploreEquivalenceSweep(t *testing.T) {
 // POR must also commute with single-shot reachability (the study's primitive).
 func TestPORPreservesReachability(t *testing.T) {
 	src := CorpusPrograms()["philosophers_symmetric"]
-	pred := func(w *World) bool { return w.Classify() == Deadlocked }
-	ref, err := ExploreSource(src, ExploreOpts{Predicate: pred})
+	pred := []func(w *World) bool{func(w *World) bool { return w.Classify() == Deadlocked }}
+	ref, err := ExploreSource(src, ExploreOpts{Predicates: pred})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExploreSource(src, ExploreOpts{Predicate: pred, POR: true})
+	got, err := ExploreSource(src, ExploreOpts{Predicates: pred, POR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.PredicateHit != got.PredicateHit {
-		t.Fatalf("POR changed reachability: ref=%v got=%v", ref.PredicateHit, got.PredicateHit)
+	if ref.PredicateHits[0] != got.PredicateHits[0] {
+		t.Fatalf("POR changed reachability: ref=%v got=%v", ref.PredicateHits[0], got.PredicateHits[0])
 	}
 }
 

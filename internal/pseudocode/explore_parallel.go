@@ -2,47 +2,73 @@ package pseudocode
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Parallel exploration: N workers share one LIFO work queue of frontier
-// worlds and a fingerprint set sharded across 64 locks. Each worker keeps
+// The search: Workers goroutines share one LIFO work queue of frontier
+// worlds and a fingerprint set sharded across locks. Each worker keeps
 // private result accumulators; the merge at the end is deterministic
 // (Terminals sorted canonically, output sets unioned and sorted,
 // StatesVisited counted by atomic set insertion). The visited *set* is
 // run-order independent, so everything derived from it is reproducible even
-// though the schedule of workers is not.
+// though the schedule of workers is not. One worker is the sequential
+// search: it runs on the calling goroutine over a single shard, so a tiny
+// program pays for one set of maps, not 64.
 
-const exploreShardCount = 64
+const exploreShardCount = 64 // a power of two
 
-type exploreShard struct {
-	mu    sync.Mutex
-	seen  map[fingerprint]struct{}
-	enc   map[fingerprint]string   // AuditEncodings only
-	sleep map[fingerprint][]Choice // POR only
-	term  map[fingerprint]bool     // terminal dedup
+// shardCount stripes the visited set over exploreShardCount locks for
+// several workers; a lone worker takes one shard.
+func shardCount(workers int) int {
+	if workers > 1 {
+		return exploreShardCount
+	}
+	return 1
 }
 
-func (fp fingerprint) shard() int { return int(fp.lo % exploreShardCount) }
+type exploreShard struct {
+	mu      searchMutex
+	seen    map[fingerprint]struct{}
+	sleep   map[fingerprint][]Choice   // POR only
+	term    map[fingerprint]bool       // POR only: terminal dedup
+	parents map[fingerprint]parentLink // TrackWitness only: first arrival
+}
+
+// searchMutex guards state the workers share. A lone worker shares
+// nothing, so it skips the lock: the uncontended lock pairs, one per
+// transition and two per state, cost about a tenth of a small exploration.
+type searchMutex struct {
+	sync.Mutex
+	shared bool // Workers > 1
+}
+
+func (m *searchMutex) Lock() {
+	if m.shared {
+		m.Mutex.Lock()
+	}
+}
+
+func (m *searchMutex) Unlock() {
+	if m.shared {
+		m.Mutex.Unlock()
+	}
+}
+
+// shard picks one of n shards, n a power of two.
+func (fp fingerprint) shard(n int) int { return int(fp.lo & uint64(n-1)) }
 
 // workQueue is the shared frontier. outstanding counts nodes pushed but not
 // yet fully expanded; the search is complete when the queue is empty and
 // outstanding is zero (every worker then drains out).
 type workQueue struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
+	mu          searchMutex
+	cond        sync.Cond // L is &mu
 	stack       []exNode
 	outstanding int
 	err         error
-}
-
-func newWorkQueue() *workQueue {
-	q := &workQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
 }
 
 func (q *workQueue) push(n exNode) {
@@ -53,11 +79,18 @@ func (q *workQueue) push(n exNode) {
 	q.cond.Signal()
 }
 
-// pop blocks until work is available, the search completes, or a worker
+// pop first marks the caller's previous node expanded (when it had one),
+// then blocks until work is available, the search completes, or a worker
 // failed. ok=false means "stop".
-func (q *workQueue) pop() (exNode, bool) {
+func (q *workQueue) pop(expanded bool) (exNode, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if expanded {
+		q.outstanding--
+		if q.outstanding == 0 {
+			q.cond.Broadcast()
+		}
+	}
 	for len(q.stack) == 0 && q.outstanding > 0 && q.err == nil {
 		q.cond.Wait()
 	}
@@ -67,16 +100,6 @@ func (q *workQueue) pop() (exNode, bool) {
 	n := q.stack[len(q.stack)-1]
 	q.stack = q.stack[:len(q.stack)-1]
 	return n, true
-}
-
-func (q *workQueue) finish() {
-	q.mu.Lock()
-	q.outstanding--
-	done := q.outstanding == 0
-	q.mu.Unlock()
-	if done {
-		q.cond.Broadcast()
-	}
 }
 
 func (q *workQueue) fail(err error) {
@@ -90,35 +113,41 @@ func (q *workQueue) fail(err error) {
 
 // workerAcc collects per-worker partial results, merged after the join.
 type workerAcc struct {
-	outputs         map[string]bool
-	deadlockOutputs map[string]bool
-	terminals       []Terminal
-	deadlocks       int
-	transitions     int
-	collisions      int
-	predicateHit    bool
-	predicateHits   []bool
-	truncated       bool
+	terminals     []Terminal
+	transitions   int
+	predicateHits []bool
+	truncated     bool
+	deadlock      *fingerprint     // TrackWitness: first deadlock this worker found
+	terminalFPs   []fingerprint    // TrackGraph
+	edges         [][2]fingerprint // TrackGraph: (from, to) per transition
 }
 
-func exploreParallel(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
+// Explore enumerates every reachable state of prog under the semantics at
+// atomic-statement granularity, merging states that are identical under
+// canonical encoding. It returns the distinct terminal configurations and
+// the set of possible outputs — the "space of executions".
+func Explore(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
 	maxStates, maxDepth := exploreBounds(opts)
-	por := opts.POR
-	canRecycle := opts.Predicate == nil && len(opts.Predicates) == 0
+	por := opts.POR && !opts.TrackGraph
+	canRecycle := len(opts.Predicates) == 0
+	workers := max(opts.Workers, 1)
 
-	shards := make([]exploreShard, exploreShardCount)
+	shards := make([]exploreShard, shardCount(workers))
 	for i := range shards {
+		shards[i].mu.shared = workers > 1
 		shards[i].seen = map[fingerprint]struct{}{}
-		shards[i].term = map[fingerprint]bool{}
-		if opts.AuditEncodings {
-			shards[i].enc = map[fingerprint]string{}
-		}
 		if por {
 			shards[i].sleep = map[fingerprint][]Choice{}
+			shards[i].term = map[fingerprint]bool{}
+		}
+		if opts.TrackWitness {
+			shards[i].parents = map[fingerprint]parentLink{}
 		}
 	}
 	var statesVisited atomic.Int64
-	q := newWorkQueue()
+	q := &workQueue{}
+	q.mu.shared = workers > 1
+	q.cond.L = &q.mu
 
 	res := &ExploreResult{}
 	res.PredicateHits = make([]bool, len(opts.Predicates))
@@ -126,18 +155,12 @@ func exploreParallel(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
 	start := NewWorld(prog, opts.Sem)
 	startEnc := start.appendEncode(nil)
 	startFP := fingerprintOf(startEnc)
-	s0 := &shards[startFP.shard()]
+	s0 := &shards[startFP.shard(len(shards))]
 	s0.seen[startFP] = struct{}{}
-	if opts.AuditEncodings {
-		s0.enc[startFP] = string(startEnc)
-	}
 	if por {
 		s0.sleep[startFP] = nil
 	}
 	statesVisited.Add(1)
-	if opts.Predicate != nil && opts.Predicate(start) {
-		res.PredicateHit = true
-	}
 	for i, p := range opts.Predicates {
 		if p(start) {
 			res.PredicateHits[i] = true
@@ -145,34 +168,26 @@ func exploreParallel(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
 	}
 	q.push(exNode{w: start, depth: 0, fp: startFP})
 
-	accs := make([]*workerAcc, opts.Workers)
+	accs := make([]workerAcc, workers)
 	var wg sync.WaitGroup
-	for wi := 0; wi < opts.Workers; wi++ {
-		acc := &workerAcc{
-			outputs:         map[string]bool{},
-			deadlockOutputs: map[string]bool{},
-			predicateHits:   make([]bool, len(opts.Predicates)),
-		}
-		accs[wi] = acc
+	for wi := range accs {
+		acc := &accs[wi]
+		acc.predicateHits = make([]bool, len(opts.Predicates))
 		wg.Add(1)
-		go func() {
+		work := func(encBuf []byte) {
 			defer wg.Done()
 			lane := &alloc{} // private free list; popped worlds re-tag to it
-			var encBuf []byte
 			var choiceBuf, live []Choice
 			var liveFPs []*stepFP
 			observe := func(w *World) {
-				if opts.Predicate != nil && opts.Predicate(w) {
-					acc.predicateHit = true
-				}
 				for i, p := range opts.Predicates {
 					if !acc.predicateHits[i] && p(w) {
 						acc.predicateHits[i] = true
 					}
 				}
 			}
-			for {
-				n, ok := q.pop()
+			for popped := false; ; popped = true {
+				n, ok := q.pop(popped)
 				if !ok {
 					return
 				}
@@ -183,28 +198,31 @@ func exploreParallel(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
 				choices := choiceBuf
 				if len(choices) == 0 {
 					kind := n.w.classifyBlocked()
-					ts := &shards[n.fp.shard()]
-					ts.mu.Lock()
-					first := !ts.term[n.fp]
-					if first {
+					first := true
+					if por { // POR pops a state again to re-expand it
+						ts := &shards[n.fp.shard(len(shards))]
+						ts.mu.Lock()
+						first = !ts.term[n.fp]
 						ts.term[n.fp] = true
+						ts.mu.Unlock()
 					}
-					ts.mu.Unlock()
 					if first {
 						term := Terminal{Kind: kind, Output: n.w.Output()}
 						if kind == Deadlocked {
 							term.Blocked = n.w.BlockedTasks()
-							acc.deadlocks++
-							acc.deadlockOutputs[term.Output] = true
-						} else {
-							acc.outputs[term.Output] = true
+							if opts.TrackWitness && acc.deadlock == nil {
+								fp := n.fp // n itself stays on the stack
+								acc.deadlock = &fp
+							}
 						}
 						acc.terminals = append(acc.terminals, term)
+						if opts.TrackGraph {
+							acc.terminalFPs = append(acc.terminalFPs, n.fp)
+						}
 					}
 					if canRecycle {
 						n.w.recycle()
 					}
-					q.finish()
 					continue
 				}
 				if n.depth >= maxDepth {
@@ -212,7 +230,6 @@ func exploreParallel(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
 					if canRecycle {
 						n.w.recycle()
 					}
-					q.finish()
 					continue
 				}
 				live = live[:0]
@@ -273,13 +290,16 @@ func exploreParallel(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
 					}
 					encBuf = child.appendEncode(encBuf[:0])
 					cfp := fingerprintOf(encBuf)
-					s := &shards[cfp.shard()]
+					if opts.TrackGraph {
+						acc.edges = append(acc.edges, [2]fingerprint{n.fp, cfp})
+					}
+					s := &shards[cfp.shard(len(shards))]
 					s.mu.Lock()
 					_, dup := s.seen[cfp]
 					if !dup {
 						s.seen[cfp] = struct{}{}
-						if s.enc != nil {
-							s.enc[cfp] = string(encBuf)
+						if s.parents != nil {
+							s.parents[cfp] = parentLink{parent: n.fp, ch: ch}
 						}
 						if por {
 							s.sleep[cfp] = sleepChoices(childSleep)
@@ -289,9 +309,6 @@ func exploreParallel(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
 						observe(child)
 						q.push(exNode{w: child, depth: n.depth + 1, fp: cfp, sleep: childSleep})
 						continue
-					}
-					if s.enc != nil && s.enc[cfp] != string(encBuf) {
-						acc.collisions++
 					}
 					if por {
 						stored := s.sleep[cfp]
@@ -313,21 +330,22 @@ func exploreParallel(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
 				if !reused && canRecycle {
 					n.w.recycle()
 				}
-				q.finish()
 			}
-		}()
+		}
+		if wi == len(accs)-1 {
+			work(startEnc) // the last worker is the calling goroutine
+		} else {
+			go work(nil)
+		}
 	}
 	wg.Wait()
 
-	outputSet := map[string]bool{}
-	deadlockOutputSet := map[string]bool{}
-	for _, acc := range accs {
+	for i := range accs {
+		acc := &accs[i]
 		res.Terminals = append(res.Terminals, acc.terminals...)
-		res.Deadlocks += acc.deadlocks
 		res.Transitions += acc.transitions
-		res.AuditCollisions += acc.collisions
-		if acc.predicateHit {
-			res.PredicateHit = true
+		if acc.deadlock != nil && res.DeadlockWitness == nil {
+			res.DeadlockWitness = rebuildWitness(shards, *acc.deadlock)
 		}
 		for i, h := range acc.predicateHits {
 			if h {
@@ -337,35 +355,67 @@ func exploreParallel(prog *Compiled, opts ExploreOpts) (*ExploreResult, error) {
 		if acc.truncated {
 			res.Truncated = true
 		}
-		for o := range acc.outputs {
-			outputSet[o] = true
-		}
-		for o := range acc.deadlockOutputs {
-			deadlockOutputSet[o] = true
-		}
 	}
 	// Deterministic order regardless of which worker claimed which terminal.
-	sort.Slice(res.Terminals, func(i, j int) bool {
-		a, b := res.Terminals[i], res.Terminals[j]
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
+	slices.SortFunc(res.Terminals, compareTerminals)
+	for _, term := range res.Terminals {
+		if term.Kind == Deadlocked {
+			res.Deadlocks++
+			res.DeadlockOutputs = append(res.DeadlockOutputs, term.Output)
+		} else {
+			res.Outputs = append(res.Outputs, term.Output)
 		}
-		if a.Output != b.Output {
-			return a.Output < b.Output
-		}
-		return strings.Join(a.Blocked, "|") < strings.Join(b.Blocked, "|")
-	})
-	for o := range outputSet {
-		res.Outputs = append(res.Outputs, o)
 	}
-	sort.Strings(res.Outputs)
-	for o := range deadlockOutputSet {
-		res.DeadlockOutputs = append(res.DeadlockOutputs, o)
-	}
-	sort.Strings(res.DeadlockOutputs)
+	slices.Sort(res.Outputs)
+	res.Outputs = slices.Compact(res.Outputs)
+	slices.Sort(res.DeadlockOutputs)
+	res.DeadlockOutputs = slices.Compact(res.DeadlockOutputs)
 	res.StatesVisited = int(statesVisited.Load())
 	if q.err != nil {
 		return res, errors.Join(ErrExploreError, q.err)
 	}
+	if opts.TrackGraph && !res.Truncated {
+		res.DivergentStates = res.StatesVisited - reachTerminals(accs)
+		res.LivelockFree = res.DivergentStates == 0
+	}
 	return res, nil
+}
+
+// compareTerminals orders terminals by kind, then output, then blocked tasks.
+func compareTerminals(a, b Terminal) int {
+	if a.Kind != b.Kind {
+		return int(a.Kind) - int(b.Kind)
+	}
+	if a.Output != b.Output {
+		return strings.Compare(a.Output, b.Output)
+	}
+	return strings.Compare(strings.Join(a.Blocked, "|"), strings.Join(b.Blocked, "|"))
+}
+
+// reachTerminals counts the states from which some terminal is reachable,
+// by a reverse search from the terminals over the recorded edges.
+func reachTerminals(accs []workerAcc) int {
+	rev := map[fingerprint][]fingerprint{}
+	var stack []fingerprint
+	for _, acc := range accs {
+		for _, e := range acc.edges {
+			rev[e[1]] = append(rev[e[1]], e[0])
+		}
+		stack = append(stack, acc.terminalFPs...)
+	}
+	reach := make(map[fingerprint]bool, len(rev))
+	for _, fp := range stack {
+		reach[fp] = true
+	}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, prev := range rev[cur] {
+			if !reach[prev] {
+				reach[prev] = true
+				stack = append(stack, prev)
+			}
+		}
+	}
+	return len(reach)
 }

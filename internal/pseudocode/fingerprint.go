@@ -8,9 +8,9 @@ import (
 // fingerprint is a 128-bit state hash. The explorer keys its visited set on
 // fingerprints instead of retaining every canonical encoding string: at the
 // scale of millions of states, a random collision among 2^128 values is
-// vanishingly unlikely (~n²/2^129), and the opt-in
-// ExploreOpts.AuditEncodings mode keeps the full strings to verify that no
-// collision occurred in a given run.
+// vanishingly unlikely (~n²/2^129). The equivalence sweep checks it: its
+// reference search keys on the full strings, and a collision would lower
+// Explore's state count below the reference's.
 type fingerprint struct {
 	hi, lo uint64
 }

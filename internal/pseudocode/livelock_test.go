@@ -15,23 +15,25 @@ ENDCLASS
 r = new R()
 r.run()
 Send(MESSAGE.m(1)).To(r)`
-	res, err := ExploreSource(src, ExploreOpts{TrackGraph: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Truncated {
-		t.Fatal("truncated")
-	}
-	if len(res.Terminals) != 0 {
-		t.Fatalf("pure livelock should have no terminals: %+v", res.Terminals)
-	}
-	if res.LivelockFree {
-		t.Fatal("livelock not detected")
-	}
-	if res.DivergentStates != res.StatesVisited {
-		t.Fatalf("every state should be divergent: %d of %d",
-			res.DivergentStates, res.StatesVisited)
-	}
+	forTrackingWorkers(t, func(t *testing.T, workers int) {
+		res, err := ExploreSource(src, ExploreOpts{TrackGraph: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Truncated {
+			t.Fatal("truncated")
+		}
+		if len(res.Terminals) != 0 {
+			t.Fatalf("pure livelock should have no terminals: %+v", res.Terminals)
+		}
+		if res.LivelockFree {
+			t.Fatal("livelock not detected")
+		}
+		if res.DivergentStates != res.StatesVisited {
+			t.Fatalf("every state should be divergent: %d of %d",
+				res.DivergentStates, res.StatesVisited)
+		}
+	})
 }
 
 func TestLivelockFreeWithConditionalDeferral(t *testing.T) {
@@ -53,62 +55,65 @@ ENDCLASS
 r = new R()
 r.run()
 Send(MESSAGE.work(3)).To(r)`
-	res, err := ExploreSource(src, ExploreOpts{TrackGraph: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.LivelockFree {
-		t.Fatalf("countdown protocol flagged as livelock: %d divergent states", res.DivergentStates)
-	}
-	if len(res.Terminals) == 0 {
-		t.Fatal("no terminals found")
-	}
+	forTrackingWorkers(t, func(t *testing.T, workers int) {
+		res, err := ExploreSource(src, ExploreOpts{TrackGraph: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.LivelockFree {
+			t.Fatalf("countdown protocol flagged as livelock: %d divergent states", res.DivergentStates)
+		}
+		if len(res.Terminals) == 0 {
+			t.Fatal("no terminals found")
+		}
+	})
 }
 
 func TestLivelockFigureProgramsAreFree(t *testing.T) {
-	for _, f := range []string{"fig3c_interleave.pc", "fig4b_waitnotify.pc", "fig5_messages.pc"} {
-		res, err := ExploreSource(loadFixture(t, f), ExploreOpts{TrackGraph: true})
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
+	forTrackingWorkers(t, func(t *testing.T, workers int) {
+		for _, f := range []string{"fig3c_interleave.pc", "fig4b_waitnotify.pc", "fig5_messages.pc"} {
+			res, err := ExploreSource(loadFixture(t, f), ExploreOpts{TrackGraph: true, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			if !res.LivelockFree {
+				t.Fatalf("%s: spurious livelock, %d divergent states", f, res.DivergentStates)
+			}
 		}
-		if !res.LivelockFree {
-			t.Fatalf("%s: spurious livelock, %d divergent states", f, res.DivergentStates)
-		}
-	}
+	})
 }
 
 func TestLivelockDeadlockIsNotDivergence(t *testing.T) {
 	// Deadlocked states are terminals: the symmetric philosophers deadlock
 	// but do not livelock.
-	res, err := ExploreSource(loadFixture(t, "philosophers_symmetric.pc"),
-		ExploreOpts{TrackGraph: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.HasDeadlock() {
-		t.Fatal("expected deadlock")
-	}
-	if !res.LivelockFree {
-		t.Fatalf("deadlock misreported as livelock: %d divergent", res.DivergentStates)
-	}
-}
-
-func TestTrackGraphRejectsNoMemo(t *testing.T) {
-	if _, err := ExploreSource(`PRINTLN 1`, ExploreOpts{TrackGraph: true, NoMemo: true}); err == nil {
-		t.Fatal("TrackGraph with NoMemo should error")
-	}
+	src := loadFixture(t, "philosophers_symmetric.pc")
+	forTrackingWorkers(t, func(t *testing.T, workers int) {
+		res, err := ExploreSource(src, ExploreOpts{TrackGraph: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.HasDeadlock() {
+			t.Fatal("expected deadlock")
+		}
+		if !res.LivelockFree {
+			t.Fatalf("deadlock misreported as livelock: %d divergent", res.DivergentStates)
+		}
+	})
 }
 
 func TestMessageBridgeLivelockFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("message-bridge graph tracking is expensive")
 	}
-	res, err := ExploreSource(loadFixture(t, "bridge_message.pc"), ExploreOpts{TrackGraph: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.LivelockFree {
-		t.Fatalf("the deferral protocol should always be able to drain: %d divergent states",
-			res.DivergentStates)
-	}
+	src := loadFixture(t, "bridge_message.pc")
+	forTrackingWorkers(t, func(t *testing.T, workers int) {
+		res, err := ExploreSource(src, ExploreOpts{TrackGraph: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.LivelockFree {
+			t.Fatalf("the deferral protocol should always be able to drain: %d divergent states",
+				res.DivergentStates)
+		}
+	})
 }

@@ -69,11 +69,10 @@ type frame struct {
 // alloc is a free list of world/task containers. The explorer clones and
 // discards worlds at a rate of millions per run; recycling the container
 // allocations (not the immutable Values inside) takes that churn off the
-// GC. Each search lane — the sequential explorer, or one worker of the
-// parallel explorer — owns a private alloc, so get/put are plain slice
-// operations with no atomics (a sync.Pool here cost ~25% of exploration
-// time in pushHead/CompareAndSwap). A world carries a pointer to the alloc
-// that owns it; the parallel explorer re-tags a popped world with the
+// GC. Each worker of the explorer owns a private alloc, so get/put are
+// plain slice operations with no atomics (a sync.Pool here cost ~25% of
+// exploration time in pushHead/CompareAndSwap). A world carries a pointer
+// to the alloc that owns it; the explorer re-tags a popped world with the
 // popping worker's alloc before cloning or recycling it.
 type alloc struct {
 	worlds []*World

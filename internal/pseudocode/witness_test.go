@@ -1,6 +1,17 @@
 package pseudocode
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
+
+// forTrackingWorkers runs a witness or livelock test with one worker, and
+// with four whose parent links and edges come from several goroutines.
+func forTrackingWorkers(t *testing.T, f func(t *testing.T, workers int)) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { f(t, workers) })
+	}
+}
 
 func TestDeadlockWitnessReplay(t *testing.T) {
 	src := loadFixture(t, "philosophers_symmetric.pc")
@@ -8,37 +19,41 @@ func TestDeadlockWitnessReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(prog, ExploreOpts{TrackWitness: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.HasDeadlock() {
-		t.Fatal("expected deadlock")
-	}
-	if len(res.DeadlockWitness) == 0 {
-		t.Fatal("no witness produced")
-	}
-	events, w, err := ReplayWitness(prog, Semantics{}, res.DeadlockWitness)
-	if err != nil {
-		t.Fatalf("witness does not replay: %v", err)
-	}
-	if len(events) == 0 {
-		t.Fatal("replay produced no trace")
-	}
-	if got := w.Classify(); got != Deadlocked {
-		t.Fatalf("replayed schedule ends %v, want deadlocked", got)
-	}
+	forTrackingWorkers(t, func(t *testing.T, workers int) {
+		res, err := Explore(prog, ExploreOpts{TrackWitness: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.HasDeadlock() {
+			t.Fatal("expected deadlock")
+		}
+		if len(res.DeadlockWitness) == 0 {
+			t.Fatal("no witness produced")
+		}
+		events, w, err := ReplayWitness(prog, Semantics{}, res.DeadlockWitness)
+		if err != nil {
+			t.Fatalf("witness does not replay: %v", err)
+		}
+		if len(events) == 0 {
+			t.Fatal("replay produced no trace")
+		}
+		if got := w.Classify(); got != Deadlocked {
+			t.Fatalf("replayed schedule ends %v, want deadlocked", got)
+		}
+	})
 }
 
 func TestNoWitnessWhenNoDeadlock(t *testing.T) {
-	res, err := ExploreSource(loadFixture(t, "philosophers_asymmetric.pc"),
-		ExploreOpts{TrackWitness: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.DeadlockWitness) != 0 {
-		t.Fatalf("witness without deadlock: %v", res.DeadlockWitness)
-	}
+	src := loadFixture(t, "philosophers_asymmetric.pc")
+	forTrackingWorkers(t, func(t *testing.T, workers int) {
+		res, err := ExploreSource(src, ExploreOpts{TrackWitness: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.DeadlockWitness) != 0 {
+			t.Fatalf("witness without deadlock: %v", res.DeadlockWitness)
+		}
+	})
 }
 
 func TestWitnessOnLockOrderDeadlock(t *testing.T) {
@@ -68,27 +83,29 @@ ENDPARA`
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(prog, ExploreOpts{TrackWitness: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, w, err := ReplayWitness(prog, Semantics{}, res.DeadlockWitness)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Classify() != Deadlocked {
-		t.Fatal("witness does not deadlock")
-	}
-	// The trace must show both acquires succeeding before the cross-blocks.
-	acquires := 0
-	for _, e := range events {
-		if e.Op == "acquire" {
-			acquires++
+	forTrackingWorkers(t, func(t *testing.T, workers int) {
+		res, err := Explore(prog, ExploreOpts{TrackWitness: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if acquires < 2 {
-		t.Fatalf("witness trace shows %d acquires, want >= 2", acquires)
-	}
+		events, w, err := ReplayWitness(prog, Semantics{}, res.DeadlockWitness)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Classify() != Deadlocked {
+			t.Fatal("witness does not deadlock")
+		}
+		// The trace must show both acquires succeeding before the cross-blocks.
+		acquires := 0
+		for _, e := range events {
+			if e.Op == "acquire" {
+				acquires++
+			}
+		}
+		if acquires < 2 {
+			t.Fatalf("witness trace shows %d acquires, want >= 2", acquires)
+		}
+	})
 }
 
 func TestReplayRejectsBogusSchedule(t *testing.T) {
@@ -99,11 +116,5 @@ PRINTLN x`)
 	}
 	if _, _, err := ReplayWitness(prog, Semantics{}, []Choice{{TaskIdx: 7, Option: 0}}); err == nil {
 		t.Fatal("bogus schedule should fail to replay")
-	}
-}
-
-func TestWitnessRejectsNoMemo(t *testing.T) {
-	if _, err := ExploreSource(`PRINTLN 1`, ExploreOpts{TrackWitness: true, NoMemo: true}); err == nil {
-		t.Fatal("TrackWitness with NoMemo should error")
 	}
 }

@@ -412,9 +412,9 @@ var (
 // BuildBank computes ground truths for every question by exploring each
 // section's program once with all of that section's predicates. The result
 // is cached process-wide. Exploration runs with partial-order reduction and
-// parallel workers — configurations the equivalence tests pin to the plain
-// sequential search — so regenerating the bank takes well under a second
-// where the reference explorer took seconds.
+// parallel workers — configurations the equivalence tests pin to the
+// pseudocode package's string-keyed reference search — so regenerating the
+// bank takes well under a second where the reference explorer took seconds.
 func BuildBank() (*Bank, error) {
 	bankOnce.Do(func() { bankVal, bankErr = buildBank(fastExploreOpts()) })
 	return bankVal, bankErr
